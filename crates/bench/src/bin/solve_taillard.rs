@@ -1290,15 +1290,9 @@ struct CostRow {
     cost: CostReport,
 }
 
-/// Counters per row of an older baseline: 13 before the v7 fleet steal/idle
-/// counters, 16 before the v8 failure-recovery counters, 19 before the v9
-/// cache counters. Those rows parse with the missing counters at zero,
-/// which is exactly what the old backends recorded.
-const LEGACY_COST_COUNTERS: [usize; 3] = [13, 16, 19];
-
 /// Pulls every `"cost": { ... }` block (a flat object of integer counters)
-/// out of a cost baseline or a v5 perf report, keyed by the row fields that
-/// precede it.
+/// out of a cost baseline, keyed by the row fields that precede it. Every
+/// block must carry all [`COST_COUNTERS`] counters.
 fn cost_rows(text: &str) -> Result<Vec<CostRow>, String> {
     let cost_key = "\"cost\":";
     let mut rows = Vec::new();
@@ -1334,10 +1328,9 @@ fn cost_rows(text: &str) -> Result<Vec<CostRow>, String> {
             }
             seen += 1;
         }
-        if seen != COST_COUNTERS && !LEGACY_COST_COUNTERS.contains(&seen) {
+        if seen != COST_COUNTERS {
             return Err(format!(
-                "row `{backend}` has {seen} cost counters, expected {COST_COUNTERS} \
-                 (or a legacy count of {LEGACY_COST_COUNTERS:?})"
+                "row `{backend}` has {seen} cost counters, expected {COST_COUNTERS}"
             ));
         }
         rows.push(CostRow {
@@ -1904,4 +1897,60 @@ fn append_summary(
         .append(true)
         .open(path)?;
     file.write_all(out.as_bytes())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every counter as a `(name, value)` pair, valued by its position.
+    fn all_counters() -> Vec<(String, String)> {
+        CostReport::default()
+            .counters()
+            .iter()
+            .enumerate()
+            .map(|(i, (name, _))| (name.to_string(), i.to_string()))
+            .collect()
+    }
+
+    /// A cost-baseline row whose `cost` object holds `counters`.
+    fn row(counters: &[(String, String)]) -> String {
+        let body: Vec<String> = counters
+            .iter()
+            .map(|(name, value)| format!("\"{name}\": {value}"))
+            .collect();
+        format!(
+            "{{\"rows\": [{{\"backend\": \"gpu\", \"devices\": 1, \"cost\": {{{}}}}}]}}",
+            body.join(", ")
+        )
+    }
+
+    #[test]
+    fn cost_rows_reads_a_complete_row() {
+        let rows = cost_rows(&row(&all_counters())).expect("a complete row parses");
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].backend, "gpu");
+        assert_eq!(rows[0].cost.counters()[1].1, 1);
+    }
+
+    #[test]
+    fn cost_rows_rejects_malformed_baselines() {
+        let counters = all_counters();
+        let mut unknown = counters.clone();
+        unknown[0].0 = "warp_drives".into();
+        let mut non_integer = counters.clone();
+        non_integer[0].1 = "\"many\"".into();
+        let complete = row(&counters);
+        for (case, text) in [
+            ("19 counters", row(&counters[..19])),
+            ("unknown counter", row(&unknown)),
+            ("non-integer value", row(&non_integer)),
+            (
+                "unterminated cost object",
+                complete[..complete.find("}}]").expect("cost object closes")].to_string(),
+            ),
+        ] {
+            assert!(cost_rows(&text).is_err(), "{case} must be rejected");
+        }
+    }
 }

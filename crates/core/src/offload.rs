@@ -137,9 +137,8 @@ pub struct PipelinedBatch {
 ///   ([`BoundingEngine::pipeline_session_with_depth`]; the default depth is
 ///   one), the host selects and encodes batch *b* only after the bounds of
 ///   batch *b − (d + 1)* have landed, so the first encode of a batch waits
-///   for the last D2H completion `d + 1` batches back. The single-threaded
-///   solver keeps one batch in flight (depth 1); the hybrid coordinator
-///   derives its depth from `workers × in-flight chunks per worker`.
+///   for the last D2H completion `d + 1` batches back. The solvers keep one
+///   batch in flight (depth 1).
 ///
 /// Cross-batch dependencies are carried as completion-time floors
 /// (equivalent to event dependencies), which lets the session compact the
@@ -544,8 +543,7 @@ impl BoundingEngine {
     /// Like [`BoundingEngine::pipeline_session`], but with an explicit
     /// staging-gate lookahead depth: the first encode of batch *b* waits for
     /// the last D2H of batch *b − (depth + 1)*. Deeper gates model hosts
-    /// that keep several batches in flight at once (the hybrid coordinator
-    /// uses `workers × in-flight chunks per worker`).
+    /// that keep several batches in flight at once.
     ///
     /// # Panics
     ///

@@ -46,9 +46,9 @@ pub struct GpuRunStats {
 impl GpuRunStats {
     /// Folds one bounded batch's backend accounting into the run stats: one
     /// iteration of `nodes` nodes plus the modelled times, bytes and launch
-    /// counts the backend reported. The single-threaded solver, the hybrid
-    /// coordinator and the service dispatcher all route through this one
-    /// fold, so the three agree on what a batch contributes.
+    /// counts the backend reported. The standalone solver and the service
+    /// dispatcher both route through this one fold, so they agree on what a
+    /// batch contributes.
     pub fn absorb_batch(&mut self, acc: &BackendAccounting, nodes: u64, serial_accesses: u64) {
         self.iterations += 1;
         self.nodes_bounded += nodes;

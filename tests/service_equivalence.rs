@@ -1,11 +1,12 @@
 //! Workspace-level service-equivalence suite.
 //!
 //! The solve service's contract (see `docs/SERVICE.md`) is that cross-solve
-//! batching is **accounting-transparent**: the `LaunchDispatcher` merges
-//! batches from many jobs onto one shared fleet, but a launch never spans
-//! two jobs, so — without persistent lookahead sessions — every job's
-//! outcome is **bit-identical** to a standalone `GpuBnbSolver` run of the
-//! same spec. This suite pins that down four ways:
+//! batching is **accounting-transparent**: jobs sharing a fleet bound one
+//! batch each per scheduler round, one after another on the shared backend,
+//! and every launch is billed to exactly one job, so — without persistent
+//! lookahead sessions — every job's outcome is **bit-identical** to a
+//! standalone `GpuBnbSolver` run of the same spec. This suite pins that down
+//! four ways:
 //!
 //! 1. N concurrent jobs on *distinct* instances, each checked against its
 //!    own standalone solve: makespan, node counters, every cost counter and
