@@ -217,8 +217,8 @@ pub fn autotune_pipeline_chunk(
     let mut measurements = Vec::with_capacity(candidates.len());
     for &chunk_size in &candidates {
         let result = engine.bound_nodes_pipelined(nodes, chunk_size, Some(&lb));
-        let overlapped = result.overlapped_time.as_secs_f64();
-        let serialized = result.serialized_device_time().as_secs_f64();
+        let overlapped = result.critical_path.as_secs_f64();
+        let serialized = (result.kernel_time + result.transfer_time).as_secs_f64();
         measurements.push(ChunkSizeMeasurement {
             chunk_size,
             seconds_per_node: overlapped / nodes.len().max(1) as f64,

@@ -5,10 +5,11 @@
 //! conclusion, though, compares GPU bounding against serial and multi-core
 //! bounding and calls for combining them. This module makes the bounding
 //! operator pluggable: **sequential host bounding**, the **multicore thread
-//! pool**, the **GPU off-load engine**, its **stream-pipelined** variant and
-//! the **multi-device fleet** ([`crate::fleet`]) are five implementations of
-//! one trait, selected through [`crate::config::BackendKind`] by the
-//! solvers, the auto-tuner and the bench binaries alike. Every
+//! pool**, the **GPU off-load engine** (one launch or stream-pipelined per
+//! batch) and the **multi-device fleet** ([`crate::fleet`]) are four
+//! implementations of one trait, selected through
+//! [`crate::config::BackendKind`] by the solvers, the auto-tuner and the
+//! bench binaries alike. Every
 //! implementation returns bit-identical bounds (asserted by the workspace's
 //! backend-equivalence suite); what differs is the modelled cost accounting.
 //!
@@ -16,13 +17,13 @@
 //! input order plus a [`BackendAccounting`]) and giving it a
 //! [`crate::config::BackendKind`] arm in [`make_backend`].
 
-use crate::config::{BackendKind, GpuSolverConfig};
-use crate::offload::BoundingEngine;
+use crate::config::{BackendKind, GpuSolverConfig, LaunchMode};
+use crate::offload::{BoundingEngine, PipelineSession};
 use crate::placement::MatrixId;
 use bb::{FspNode, FspProblem};
 use fsp::bound::counts::AccessCounts;
 use fsp::{BoundScratch, JohnsonLowerBound, Time};
-use gpu_sim::HostModel;
+use gpu_sim::{Device, HostModel};
 use multicore_bnb::{MulticoreModel, ParallelBoundingPool};
 use std::sync::Arc;
 use std::time::Duration;
@@ -187,6 +188,22 @@ pub(crate) fn matrix_footprint_bytes(jobs: usize, machines: usize) -> usize {
         .sum()
 }
 
+/// A CPU backend's batch: `compute` of modelled bounding time in one pass
+/// (none for an empty batch), no transfers and no device work.
+fn host_batch(bounds: Vec<Time>, compute: Duration) -> BackendBatch {
+    let passes = usize::from(!bounds.is_empty());
+    BackendBatch {
+        bounds,
+        accounting: BackendAccounting {
+            kernel_time: compute,
+            device_time: compute,
+            launches: passes as u64,
+            ..BackendAccounting::default()
+        },
+        launch_times: vec![compute; passes],
+    }
+}
+
 /// Sequential host bounding — the serial baseline behind Table II's
 /// single-core column, exposed as a backend so it can be driven by the same
 /// solver loop and compared launch for launch.
@@ -231,31 +248,7 @@ impl BoundingBackend for SequentialBackend {
         let compute = self
             .host
             .bounding_time(accesses, nodes.len() as u64, self.footprint_bytes);
-        BackendBatch {
-            bounds,
-            accounting: BackendAccounting {
-                kernel_time: compute,
-                transfer_time: Duration::ZERO,
-                device_time: compute,
-                upload_bytes: 0,
-                download_bytes: 0,
-                launches: u64::from(!nodes.is_empty()),
-                waves: 0,
-                device_nodes: 0,
-                merge_cycles: 0,
-                steals: 0,
-                stolen_nodes: 0,
-                idle_time: Duration::ZERO,
-                failures: 0,
-                redealt_nodes: 0,
-                recovery_time: Duration::ZERO,
-            },
-            launch_times: if nodes.is_empty() {
-                Vec::new()
-            } else {
-                vec![compute]
-            },
-        }
+        host_batch(bounds, compute)
     }
 }
 
@@ -308,216 +301,108 @@ impl BoundingBackend for MulticoreBackend {
             .model
             .speedup(self.pool.threads(), self.footprint_bytes)
             .max(1.0);
-        let compute = serial.div_f64(speedup);
-        BackendBatch {
-            bounds,
-            accounting: BackendAccounting {
-                kernel_time: compute,
-                transfer_time: Duration::ZERO,
-                device_time: compute,
-                upload_bytes: 0,
-                download_bytes: 0,
-                launches: u64::from(!nodes.is_empty()),
-                waves: 0,
-                device_nodes: 0,
-                merge_cycles: 0,
-                steals: 0,
-                stolen_nodes: 0,
-                idle_time: Duration::ZERO,
-                failures: 0,
-                redealt_nodes: 0,
-                recovery_time: Duration::ZERO,
-            },
-            launch_times: if nodes.is_empty() {
-                Vec::new()
-            } else {
-                vec![compute]
-            },
-        }
+        host_batch(bounds, serial.div_f64(speedup))
     }
 }
 
-/// The paper's GPU off-load: one launch per batch through
-/// [`BoundingEngine`], functional SIMT simulation or fast-forward.
+/// The paper's GPU off-load on one simulated device, functional SIMT
+/// simulation or fast-forward. Every batch rides
+/// [`BoundingEngine::bound_nodes_pipelined_in`]:
+///
+/// * [`LaunchMode::OneLaunch`] ([`BackendKind::Gpu`]) bounds the whole batch
+///   as one chunk on a fresh [`PipelineSession`] — the paper's one launch
+///   per batch, costing exactly `upload + kernel + download`;
+/// * [`LaunchMode::Pipelined`] ([`BackendKind::GpuPipelined`]) splits it
+///   into chunks of one device wave (`SMs × block threads`, or
+///   [`GpuSolverConfig::pipeline_chunk`] when set), so the device time per
+///   batch approaches `max(kernel, transfer)` instead of their sum.
+///
+/// A pipelined backend built with [`GpuSolverConfig::lookahead`] keeps one
+/// persistent session across batches: successive batches share the
+/// timeline and the double-buffered device slots, so the pipeline never
+/// drains between solver iterations and the per-batch `device_time` becomes
+/// the critical-path increment of the session (cross-iteration pipelining).
+/// Otherwise each batch gets a fresh session. Fleet members
+/// ([`crate::fleet::FleetBackend`]) are this backend too.
 pub struct GpuBackend {
     engine: BoundingEngine,
-    host_lb: Arc<JohnsonLowerBound>,
-    fast_forward: bool,
+    /// The host reference bound in fast-forward mode; `None` runs the
+    /// functional kernel.
+    host_lb: Option<Arc<JohnsonLowerBound>>,
+    pipelined: bool,
+    pipeline_depth: usize,
+    chunk_override: Option<usize>,
+    session: Option<PipelineSession>,
 }
 
 impl GpuBackend {
-    /// Creates the backend with an engine sized for `capacity` nodes.
-    pub fn new(
-        problem: &FspProblem<JohnsonLowerBound>,
-        config: &GpuSolverConfig,
-        capacity: usize,
-    ) -> Self {
-        Self {
-            engine: BoundingEngine::new(
-                problem.bound_fn().data(),
-                config.placement.clone(),
-                config.block_threads,
-                config.registers_per_thread,
-                capacity,
-            ),
-            host_lb: problem.bound_fn().clone(),
-            fast_forward: config.fast_forward,
-        }
-    }
-
-    /// The underlying engine (inspection / cost-model ablations).
-    pub fn engine_mut(&mut self) -> &mut BoundingEngine {
-        &mut self.engine
-    }
-}
-
-impl BoundingBackend for GpuBackend {
-    fn name(&self) -> &'static str {
-        BackendKind::Gpu.name()
-    }
-
-    fn bound_batch(&mut self, nodes: &[FspNode]) -> BackendBatch {
-        let result = if self.fast_forward {
-            self.engine.bound_nodes_fast(nodes, &self.host_lb)
-        } else {
-            self.engine.bound_nodes(nodes)
-        };
-        let waves = self.engine.device().spec().waves(result.stats.grid_blocks) as u64;
-        BackendBatch {
-            bounds: result.bounds,
-            accounting: BackendAccounting {
-                kernel_time: result.kernel.duration,
-                transfer_time: result.transfer_time,
-                device_time: result.kernel.duration + result.transfer_time,
-                upload_bytes: result.upload_bytes as u64,
-                download_bytes: result.download_bytes as u64,
-                launches: u64::from(!nodes.is_empty()),
-                waves: if nodes.is_empty() { 0 } else { waves },
-                device_nodes: nodes.len() as u64,
-                merge_cycles: 0,
-                steals: 0,
-                stolen_nodes: 0,
-                idle_time: Duration::ZERO,
-                failures: 0,
-                redealt_nodes: 0,
-                recovery_time: Duration::ZERO,
-            },
-            launch_times: if nodes.is_empty() {
-                Vec::new()
-            } else {
-                vec![result.kernel.duration]
-            },
-        }
-    }
-
-    fn max_batch(&self) -> Option<usize> {
-        Some(self.engine.max_pool())
-    }
-}
-
-/// The pipelined GPU backend: each batch is split into chunks ridden
-/// through [`BoundingEngine::bound_nodes_pipelined`], so the device time per
-/// batch approaches `max(kernel, transfer)` instead of their sum.
-///
-/// With [`GpuSolverConfig::lookahead`] enabled the backend additionally
-/// keeps one persistent [`crate::offload::PipelineSession`] across batches:
-/// successive batches share the timeline and the double-buffered device
-/// slots, so the pipeline never drains between solver iterations and the
-/// per-batch `device_time` becomes the critical-path increment of the
-/// session (cross-iteration pipelining).
-pub struct PipelinedGpuBackend {
-    engine: BoundingEngine,
-    host_lb: Arc<JohnsonLowerBound>,
-    fast_forward: bool,
-    pipeline_depth: usize,
-    chunk_override: Option<usize>,
-    session: Option<crate::offload::PipelineSession>,
-}
-
-impl PipelinedGpuBackend {
-    /// Creates the backend with an engine sized for `capacity` nodes.
+    /// Creates the backend on a Tesla C2050, with an engine sized for
+    /// `capacity` nodes.
     ///
     /// # Panics
     ///
-    /// Panics if `config.pipeline_depth` is zero.
+    /// Panics if `launch` is pipelined and `config.pipeline_depth` is zero.
     pub fn new(
         problem: &FspProblem<JohnsonLowerBound>,
         config: &GpuSolverConfig,
         capacity: usize,
+        launch: LaunchMode,
     ) -> Self {
+        Self::on_device(Device::tesla_c2050(), problem, config, capacity, launch)
+    }
+
+    /// Like [`GpuBackend::new`], on an explicit device (fleet members).
+    pub(crate) fn on_device(
+        device: Device,
+        problem: &FspProblem<JohnsonLowerBound>,
+        config: &GpuSolverConfig,
+        capacity: usize,
+        launch: LaunchMode,
+    ) -> Self {
+        let pipelined = matches!(launch, LaunchMode::Pipelined);
         assert!(
-            config.pipeline_depth > 0,
+            !pipelined || config.pipeline_depth > 0,
             "the pipelined backend needs a positive pipeline depth"
         );
-        let engine = BoundingEngine::new(
+        let engine = BoundingEngine::on_device(
+            device,
             problem.bound_fn().data(),
             config.placement.clone(),
             config.block_threads,
             config.registers_per_thread,
             capacity,
         );
-        let session = config.lookahead.then(|| engine.pipeline_session());
+        let session = (pipelined && config.lookahead).then(|| engine.pipeline_session());
         Self {
             engine,
-            host_lb: problem.bound_fn().clone(),
-            fast_forward: config.fast_forward,
+            host_lb: config.fast_forward.then(|| problem.bound_fn().clone()),
+            pipelined,
             pipeline_depth: config.pipeline_depth,
             chunk_override: config.pipeline_chunk,
             session,
         }
     }
 
-    /// The cross-iteration session, when the backend was built with
-    /// [`GpuSolverConfig::lookahead`] (inspection in tests and reports).
-    pub fn session(&self) -> Option<&crate::offload::PipelineSession> {
-        self.session.as_ref()
+    /// The underlying engine (the fleet reads its wave geometry).
+    pub(crate) fn engine(&self) -> &BoundingEngine {
+        &self.engine
     }
 
-    /// Chunk size for a batch of `len` nodes (see [`wave_chunk_for`]): an
-    /// explicit [`GpuSolverConfig::pipeline_chunk`] wins, then the
-    /// wave-aligned heuristic.
-    fn chunk_for(&self, len: usize) -> usize {
-        wave_chunk_for(&self.engine, self.pipeline_depth, self.chunk_override, len)
-    }
-}
-
-impl BoundingBackend for PipelinedGpuBackend {
-    fn name(&self) -> &'static str {
-        BackendKind::GpuPipelined.name()
-    }
-
-    fn bound_batch(&mut self, nodes: &[FspNode]) -> BackendBatch {
-        if nodes.is_empty() {
-            return BackendBatch {
-                bounds: Vec::new(),
-                accounting: BackendAccounting::default(),
-                launch_times: Vec::new(),
-            };
-        }
-        let chunk = self.chunk_for(nodes.len());
-        let host = self.fast_forward.then_some(self.host_lb.as_ref());
-        // Cross-iteration mode threads the batch through the persistent
-        // session (device_time is then the critical-path increment);
-        // otherwise each batch gets a standalone fill-and-drain schedule.
-        let result = match &mut self.session {
-            Some(session) => self
-                .engine
-                .bound_nodes_pipelined_in(nodes, chunk, host, session),
+    /// Bounds `nodes` in chunks of `chunk` nodes — through the persistent
+    /// session when there is one, else on a fresh session. The fleet calls
+    /// this directly with its shared launch granularity.
+    pub(crate) fn bound_chunked(&mut self, nodes: &[FspNode], chunk: usize) -> BackendBatch {
+        let mut fresh;
+        let session = match &mut self.session {
+            Some(session) => session,
             None => {
-                let result = self.engine.bound_nodes_pipelined(nodes, chunk, host);
-                crate::offload::PipelinedBatch {
-                    bounds: result.bounds,
-                    kernel_time: result.kernel_time,
-                    transfer_time: result.transfer_time,
-                    critical_path: result.overlapped_time,
-                    upload_bytes: result.upload_bytes,
-                    download_bytes: result.download_bytes,
-                    chunks: result.chunks,
-                    waves: result.waves,
-                    launch_times: result.launch_times,
-                }
+                fresh = self.engine.pipeline_session();
+                &mut fresh
             }
         };
+        let result =
+            self.engine
+                .bound_nodes_pipelined_in(nodes, chunk, self.host_lb.as_deref(), session);
         BackendBatch {
             bounds: result.bounds,
             accounting: BackendAccounting {
@@ -529,16 +414,36 @@ impl BoundingBackend for PipelinedGpuBackend {
                 launches: result.chunks as u64,
                 waves: result.waves,
                 device_nodes: nodes.len() as u64,
-                merge_cycles: 0,
-                steals: 0,
-                stolen_nodes: 0,
-                idle_time: Duration::ZERO,
-                failures: 0,
-                redealt_nodes: 0,
-                recovery_time: Duration::ZERO,
+                ..BackendAccounting::default()
             },
             launch_times: result.launch_times,
         }
+    }
+}
+
+impl BoundingBackend for GpuBackend {
+    fn name(&self) -> &'static str {
+        if self.pipelined {
+            BackendKind::GpuPipelined.name()
+        } else {
+            BackendKind::Gpu.name()
+        }
+    }
+
+    fn bound_batch(&mut self, nodes: &[FspNode]) -> BackendBatch {
+        let chunk = if self.pipelined {
+            wave_chunk_for(
+                &self.engine,
+                self.pipeline_depth,
+                self.chunk_override,
+                nodes.len(),
+            )
+        } else {
+            // One chunk of the whole batch (an empty batch records nothing
+            // but still needs a positive chunk).
+            nodes.len().max(1)
+        };
+        self.bound_chunked(nodes, chunk)
     }
 
     fn max_batch(&self) -> Option<usize> {
@@ -558,8 +463,18 @@ pub fn make_backend(
         BackendKind::Multicore => {
             Box::new(MulticoreBackend::new(problem, config.multicore_threads))
         }
-        BackendKind::Gpu => Box::new(GpuBackend::new(problem, config, capacity)),
-        BackendKind::GpuPipelined => Box::new(PipelinedGpuBackend::new(problem, config, capacity)),
+        BackendKind::Gpu => Box::new(GpuBackend::new(
+            problem,
+            config,
+            capacity,
+            LaunchMode::OneLaunch,
+        )),
+        BackendKind::GpuPipelined => Box::new(GpuBackend::new(
+            problem,
+            config,
+            capacity,
+            LaunchMode::Pipelined,
+        )),
         BackendKind::Fleet(topology) => Box::new(crate::fleet::FleetBackend::with_members(
             problem,
             config,
@@ -670,6 +585,66 @@ mod tests {
             piped_acc.kernel_time + piped_acc.transfer_time
         );
         assert_eq!(piped_acc.launches, 4);
+    }
+
+    #[test]
+    fn one_launch_gpu_backend_matches_the_engine_reference() {
+        // `gpu` is a one-chunk pipeline on a fresh session: every accounting
+        // field and the launch histogram equal the engine's one-launch
+        // reference, in fast-forward and in functional mode.
+        let (problem, nodes, base) = fixture(96);
+        for fast_forward in [true, false] {
+            let config = GpuSolverConfig {
+                backend: BackendKind::Gpu,
+                fast_forward,
+                ..base.clone()
+            };
+            let batch = make_backend(&problem, &config, nodes.len()).bound_batch(&nodes);
+            let mut engine = BoundingEngine::new(
+                problem.bound_fn().data(),
+                config.placement.clone(),
+                config.block_threads,
+                config.registers_per_thread,
+                nodes.len(),
+            );
+            let reference = if fast_forward {
+                engine.bound_nodes_fast(&nodes, problem.bound_fn())
+            } else {
+                engine.bound_nodes(&nodes)
+            };
+            let waves = engine.device().spec().waves(reference.stats.grid_blocks) as u64;
+            let acc = batch.accounting;
+            let mode = if fast_forward {
+                "fast-forward"
+            } else {
+                "functional"
+            };
+            assert_eq!(batch.bounds, reference.bounds, "{mode}");
+            assert_eq!(acc.kernel_time, reference.kernel.duration, "{mode}");
+            assert_eq!(acc.transfer_time, reference.transfer_time, "{mode}");
+            assert_eq!(acc.device_time, reference.device_time(), "{mode}");
+            assert_eq!(acc.upload_bytes, reference.upload_bytes as u64, "{mode}");
+            assert_eq!(
+                acc.download_bytes, reference.download_bytes as u64,
+                "{mode}"
+            );
+            assert_eq!(acc.launches, 1, "{mode}");
+            assert_eq!(acc.waves, waves, "{mode}");
+            assert_eq!(acc.device_nodes, nodes.len() as u64, "{mode}");
+            assert_eq!(
+                (acc.merge_cycles, acc.steals, acc.stolen_nodes),
+                (0, 0, 0),
+                "{mode}"
+            );
+            assert_eq!((acc.failures, acc.redealt_nodes), (0, 0), "{mode}");
+            assert_eq!(acc.idle_time, Duration::ZERO, "{mode}");
+            assert_eq!(acc.recovery_time, Duration::ZERO, "{mode}");
+            assert_eq!(
+                batch.launch_times,
+                vec![reference.kernel.duration],
+                "{mode}"
+            );
+        }
     }
 
     #[test]

@@ -20,13 +20,14 @@ pub enum MemberMix {
     Mixed,
 }
 
-/// How each fleet member launches its shard.
+/// How a [`crate::backend::GpuBackend`] — the single-device backend or a
+/// fleet member — launches its batch (or shard).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LaunchMode {
     /// Each device runs the stream-overlapped pipeline (plus a persistent
     /// session under [`GpuSolverConfig::lookahead`]).
     Pipelined,
-    /// One kernel launch per shard.
+    /// One kernel launch per batch (or shard).
     OneLaunch,
 }
 

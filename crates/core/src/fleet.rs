@@ -4,9 +4,9 @@
 //! The paper targets a *cluster* of GPU-accelerated nodes; everything in
 //! this workspace so far drives exactly one simulated device. This module is
 //! the first scaling step toward that cluster: a [`FleetBackend`] owns `N`
-//! independent members — a [`BoundingEngine`] with its own
-//! [`gpu_sim::Device`] and independently-clocked timeline per GPU member, a
-//! [`crate::backend::MulticoreBackend`] per CPU member — splits every batch
+//! independent members — the single-device [`GpuBackend`] on its own
+//! [`gpu_sim::Device`] with an independently-clocked timeline per GPU
+//! member, a [`MulticoreBackend`] per CPU member — splits every batch
 //! into per-member shards, bounds the shards concurrently on the model, and
 //! merges the bounds back in input order — so the rest of the workspace
 //! (solvers, auto-tuner, service, bench binaries)
@@ -54,16 +54,18 @@
 //! [`FleetDeviceStats`] for reports, including the idle time each member
 //! spends waiting at the merge barrier and the derived utilization.
 
-use crate::backend::{BackendAccounting, BackendBatch, BoundingBackend, MulticoreBackend};
-use crate::config::{BackendKind, FleetTopology, GpuSolverConfig, DEFAULT_FLEET_DEVICES};
+use crate::backend::{
+    BackendAccounting, BackendBatch, BoundingBackend, GpuBackend, MulticoreBackend,
+};
+use crate::config::{
+    BackendKind, FleetTopology, GpuSolverConfig, LaunchMode, DEFAULT_FLEET_DEVICES,
+};
 use crate::fault::{recovery_critical_seconds, redeal_plan, FailurePlan};
-use crate::offload::{BoundingEngine, PipelineSession, PipelinedBatch};
 use bb::{FspNode, FspProblem};
 use fsp::bound::counts::AccessCounts;
 use fsp::{JohnsonLowerBound, Time};
 use gpu_sim::{CostModel, Device, DeviceSpec, HostModel};
 use multicore_bnb::MulticoreModel;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Host cycles charged per bound merged back into input order (a branchy
@@ -506,22 +508,20 @@ impl FleetDeviceStats {
     }
 }
 
-/// A fleet member's bounding implementation: a GPU engine (with, under
+/// A fleet member's bounding implementation: the single-device
+/// [`GpuBackend`] on the member's own [`Device`] (with, under
 /// [`GpuSolverConfig::lookahead`], its persistent cross-iteration session)
 /// or the CPU thread-pool backend.
-enum MemberEngine {
-    Gpu {
-        // Boxed: an engine is ~1 KiB and would dwarf the CPU variant.
-        engine: Box<BoundingEngine>,
-        session: Option<PipelineSession>,
-    },
+enum MemberBackend {
+    // Boxed: a GPU backend is ~1 KiB and would dwarf the CPU variant.
+    Gpu(Box<GpuBackend>),
     Cpu(MulticoreBackend),
 }
 
 /// One fleet member: its bounding implementation and a reusable gather
 /// buffer for its shard of the current batch.
 struct FleetMember {
-    engine: MemberEngine,
+    backend: MemberBackend,
     gather: Vec<FspNode>,
 }
 
@@ -537,8 +537,6 @@ pub struct FleetBackend {
     weights_overridden: bool,
     name: &'static str,
     stealing: bool,
-    host_lb: Arc<JohnsonLowerBound>,
-    fast_forward: bool,
     pipelined: bool,
     pipeline_depth: usize,
     chunk_override: Option<usize>,
@@ -563,7 +561,7 @@ impl FleetBackend {
     /// # Panics
     ///
     /// Panics if `devices` is zero, or if the fleet is pipelined and
-    /// `config.pipeline_depth` is zero.
+    /// `config.pipeline_depth` is zero (see [`GpuBackend::new`]).
     pub fn new(
         problem: &FspProblem<JohnsonLowerBound>,
         config: &GpuSolverConfig,
@@ -589,9 +587,9 @@ impl FleetBackend {
     ///
     /// # Panics
     ///
-    /// Panics if `specs` is empty, if the fleet is pipelined and
-    /// `config.pipeline_depth` is zero, or if an explicit weight vector has
-    /// the wrong length or a non-finite/non-positive entry.
+    /// Panics if `specs` is empty, if the fleet is pipelined with a GPU
+    /// member and `config.pipeline_depth` is zero, or if an explicit weight
+    /// vector has the wrong length or a non-finite/non-positive entry.
     pub fn with_members(
         problem: &FspProblem<JohnsonLowerBound>,
         config: &GpuSolverConfig,
@@ -601,10 +599,6 @@ impl FleetBackend {
         stealing: bool,
     ) -> Self {
         assert!(!specs.is_empty(), "a fleet needs at least one device");
-        assert!(
-            !pipelined || config.pipeline_depth > 0,
-            "a pipelined fleet needs a positive pipeline depth"
-        );
         let inst = problem.instance();
         let mut models = member_models(&specs, config, inst.jobs(), inst.machines());
         if let Some(weights) = &config.fleet_weights {
@@ -630,36 +624,30 @@ impl FleetBackend {
             topology = topology.stealing();
         }
         let name = topology.name();
-        let data = problem.bound_fn().data();
+        let launch = if pipelined {
+            LaunchMode::Pipelined
+        } else {
+            LaunchMode::OneLaunch
+        };
         let members: Vec<FleetMember> = specs
             .iter()
             .enumerate()
-            .map(|(ordinal, spec)| {
-                let engine = match spec {
+            .map(|(ordinal, spec)| FleetMember {
+                backend: match spec {
                     FleetMemberSpec::Gpu(spec) => {
-                        let engine = BoundingEngine::on_device(
+                        MemberBackend::Gpu(Box::new(GpuBackend::on_device(
                             Device::new(spec.clone()).with_ordinal(ordinal),
-                            data,
-                            config.placement.clone(),
-                            config.block_threads,
-                            config.registers_per_thread,
+                            problem,
+                            config,
                             capacity,
-                        );
-                        let session =
-                            (pipelined && config.lookahead).then(|| engine.pipeline_session());
-                        MemberEngine::Gpu {
-                            engine: Box::new(engine),
-                            session,
-                        }
+                            launch,
+                        )))
                     }
                     FleetMemberSpec::Cpu { threads } => {
-                        MemberEngine::Cpu(MulticoreBackend::new(problem, (*threads).max(1)))
+                        MemberBackend::Cpu(MulticoreBackend::new(problem, (*threads).max(1)))
                     }
-                };
-                FleetMember {
-                    engine,
-                    gather: Vec::new(),
-                }
+                },
+                gather: Vec::new(),
             })
             .collect();
         let stats = (0..specs.len())
@@ -676,8 +664,6 @@ impl FleetBackend {
             weights_overridden: config.fleet_weights.is_some(),
             name,
             stealing,
-            host_lb: problem.bound_fn().clone(),
-            fast_forward: config.fast_forward,
             pipelined,
             pipeline_depth: config.pipeline_depth,
             chunk_override: config.pipeline_chunk,
@@ -752,7 +738,8 @@ impl FleetBackend {
     fn chunk_for(&self, len: usize) -> usize {
         let mut wave_cap: Option<(usize, usize)> = None;
         for member in &self.members {
-            if let MemberEngine::Gpu { engine, .. } = &member.engine {
+            if let MemberBackend::Gpu(backend) = &member.backend {
+                let engine = backend.engine();
                 let spec = engine.device().spec();
                 let wave = (spec.multiprocessors * engine.block_threads()).max(1);
                 let cap = engine.max_pool();
@@ -850,65 +837,17 @@ impl BoundingBackend for FleetBackend {
             for &(start, len) in &shard.ranges {
                 member.gather.extend_from_slice(&nodes[start..start + len]);
             }
-            let host = self.fast_forward.then_some(self.host_lb.as_ref());
-            let (result, device_nodes): (PipelinedBatch, u64) = match &mut member.engine {
-                MemberEngine::Gpu { engine, session } => {
-                    let result = if self.pipelined {
-                        match session {
-                            Some(session) => {
-                                engine.bound_nodes_pipelined_in(&member.gather, eff, host, session)
-                            }
-                            None => {
-                                let r = engine.bound_nodes_pipelined(&member.gather, eff, host);
-                                PipelinedBatch {
-                                    bounds: r.bounds,
-                                    kernel_time: r.kernel_time,
-                                    transfer_time: r.transfer_time,
-                                    critical_path: r.overlapped_time,
-                                    upload_bytes: r.upload_bytes,
-                                    download_bytes: r.download_bytes,
-                                    chunks: r.chunks,
-                                    waves: r.waves,
-                                    launch_times: r.launch_times,
-                                }
-                            }
-                        }
-                    } else {
-                        let r = match host {
-                            Some(lb) => engine.bound_nodes_fast(&member.gather, lb),
-                            None => engine.bound_nodes(&member.gather),
-                        };
-                        let shard_waves = engine.device().spec().waves(r.stats.grid_blocks) as u64;
-                        PipelinedBatch {
-                            critical_path: r.device_time(),
-                            kernel_time: r.kernel.duration,
-                            transfer_time: r.transfer_time,
-                            upload_bytes: r.upload_bytes,
-                            download_bytes: r.download_bytes,
-                            chunks: 1,
-                            waves: shard_waves,
-                            launch_times: vec![r.kernel.duration],
-                            bounds: r.bounds,
-                        }
-                    };
-                    (result, shard.nodes() as u64)
-                }
-                MemberEngine::Cpu(backend) => {
-                    let batch = backend.bound_batch(&member.gather);
-                    let result = PipelinedBatch {
-                        bounds: batch.bounds,
-                        kernel_time: batch.accounting.kernel_time,
-                        transfer_time: Duration::ZERO,
-                        critical_path: batch.accounting.device_time,
-                        upload_bytes: 0,
-                        download_bytes: 0,
-                        chunks: batch.accounting.launches as usize,
-                        waves: 0,
-                        launch_times: batch.launch_times,
-                    };
-                    (result, 0)
-                }
+            // A one-launch member bounds its whole shard as one chunk.
+            let chunk = if self.pipelined {
+                eff
+            } else {
+                member.gather.len()
             };
+            let result = match &mut member.backend {
+                MemberBackend::Gpu(backend) => backend.bound_chunked(&member.gather, chunk),
+                MemberBackend::Cpu(backend) => backend.bound_batch(&member.gather),
+            };
+            let shard_acc = result.accounting;
 
             // Scatter the shard's bounds back to their input positions.
             let mut cursor = 0;
@@ -920,20 +859,20 @@ impl BoundingBackend for FleetBackend {
             let stats = &mut self.stats[shard.device];
             stats.batches += 1;
             stats.nodes_bounded += shard.nodes() as u64;
-            stats.kernel_time += result.kernel_time;
-            stats.transfer_time += result.transfer_time;
-            stats.device_time += result.critical_path;
-            stats.launches += result.chunks as u64;
+            stats.kernel_time += shard_acc.kernel_time;
+            stats.transfer_time += shard_acc.transfer_time;
+            stats.device_time += shard_acc.device_time;
+            stats.launches += shard_acc.launches;
 
-            acc.kernel_time += result.kernel_time;
-            acc.transfer_time += result.transfer_time;
-            acc.upload_bytes += result.upload_bytes as u64;
-            acc.download_bytes += result.download_bytes as u64;
-            acc.launches += result.chunks as u64;
-            acc.waves += result.waves;
-            acc.device_nodes += device_nodes;
+            acc.kernel_time += shard_acc.kernel_time;
+            acc.transfer_time += shard_acc.transfer_time;
+            acc.upload_bytes += shard_acc.upload_bytes;
+            acc.download_bytes += shard_acc.download_bytes;
+            acc.launches += shard_acc.launches;
+            acc.waves += shard_acc.waves;
+            acc.device_nodes += shard_acc.device_nodes;
             launch_times.extend(result.launch_times);
-            critical_paths.push((shard.device, result.critical_path));
+            critical_paths.push((shard.device, shard_acc.device_time));
         }
         // The members run concurrently: the batch's modelled wall time is
         // the slowest member's schedule plus the (serial) host-side merge,
@@ -966,9 +905,9 @@ impl BoundingBackend for FleetBackend {
     fn max_batch(&self) -> Option<usize> {
         self.members
             .iter()
-            .filter_map(|member| match &member.engine {
-                MemberEngine::Gpu { engine, .. } => Some(engine.max_pool()),
-                MemberEngine::Cpu(_) => None,
+            .filter_map(|member| match &member.backend {
+                MemberBackend::Gpu(backend) => backend.max_batch(),
+                MemberBackend::Cpu(_) => None,
             })
             .min()
     }
@@ -1015,7 +954,7 @@ pub fn fleet_weight_shares(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{make_backend, PipelinedGpuBackend};
+    use crate::backend::make_backend;
     use crate::placement::DataPlacement;
     use bb::frozen_pool;
     use fsp::taillard::generate;
@@ -1045,6 +984,21 @@ mod tests {
             ..Default::default()
         };
         (problem, nodes, config)
+    }
+
+    /// Bounds `nodes` on the single-device backend `kind` built from
+    /// `config` through [`make_backend`].
+    fn single_device(
+        problem: &FspProblem<JohnsonLowerBound>,
+        config: &GpuSolverConfig,
+        kind: BackendKind,
+        nodes: &[FspNode],
+    ) -> BackendBatch {
+        let config = GpuSolverConfig {
+            backend: kind,
+            ..config.clone()
+        };
+        make_backend(problem, &config, nodes.len()).bound_batch(nodes)
     }
 
     fn assert_is_partition(len: usize, shards: &[FleetShard]) {
@@ -1360,9 +1314,7 @@ mod tests {
     #[test]
     fn fleet_bounds_match_the_single_device_backend_bit_for_bit() {
         let (problem, nodes, config) = fixture(96);
-        let reference = PipelinedGpuBackend::new(&problem, &config, nodes.len())
-            .bound_batch(&nodes)
-            .bounds;
+        let reference = single_device(&problem, &config, BackendKind::GpuPipelined, &nodes).bounds;
         for devices in [1, 2, 3, 4] {
             for pipelined in [false, true] {
                 let mut fleet =
@@ -1379,9 +1331,7 @@ mod tests {
     #[test]
     fn hetero_and_cpu_members_bound_bit_for_bit() {
         let (problem, nodes, config) = fixture(96);
-        let reference = PipelinedGpuBackend::new(&problem, &config, nodes.len())
-            .bound_batch(&nodes)
-            .bounds;
+        let reference = single_device(&problem, &config, BackendKind::GpuPipelined, &nodes).bounds;
         for (specs, label) in [
             (fleet_member_specs(2, true), "hetero pair"),
             (fleet_member_specs(3, true), "hetero trio"),
@@ -1515,9 +1465,7 @@ mod tests {
             fast_forward: true,
             ..base.clone()
         };
-        let reference = PipelinedGpuBackend::new(&problem, &config, nodes.len())
-            .bound_batch(&nodes)
-            .bounds;
+        let reference = single_device(&problem, &config, BackendKind::GpuPipelined, &nodes).bounds;
         let build = |stealing| {
             FleetBackend::with_members(
                 &problem,
@@ -1547,18 +1495,26 @@ mod tests {
 
     #[test]
     fn single_device_fleet_matches_the_pipelined_backend_schedule() {
-        // A fleet of one is the pipelined backend plus the merge cost — the
-        // partition is the identity, so per-batch schedules agree exactly.
+        // A fleet of one is the single-device backend of its launch mode
+        // plus the merge cost — the partition is the identity, so per-batch
+        // schedules agree exactly: `fleet:1` against `gpu-pipelined`,
+        // `fleet:1:one-launch` against `gpu`.
         let (problem, nodes, config) = fixture(96);
-        let single = PipelinedGpuBackend::new(&problem, &config, nodes.len()).bound_batch(&nodes);
-        let mut fleet = FleetBackend::new(&problem, &config, nodes.len(), 1, true);
-        let batch = fleet.bound_batch(&nodes);
-        assert_eq!(batch.bounds, single.bounds);
-        assert_eq!(batch.accounting.kernel_time, single.accounting.kernel_time);
-        assert_eq!(
-            batch.accounting.device_time,
-            single.accounting.device_time + fleet.merge_time(nodes.len())
-        );
+        for (pipelined, kind) in [(true, BackendKind::GpuPipelined), (false, BackendKind::Gpu)] {
+            let single = single_device(&problem, &config, kind, &nodes);
+            let mut fleet = FleetBackend::new(&problem, &config, nodes.len(), 1, pipelined);
+            let batch = fleet.bound_batch(&nodes);
+            let (acc, expected) = (batch.accounting, single.accounting);
+            assert_eq!(batch.bounds, single.bounds, "{kind}");
+            assert_eq!(acc.kernel_time, expected.kernel_time, "{kind}");
+            assert_eq!(acc.launches, expected.launches, "{kind}");
+            assert_eq!(acc.waves, expected.waves, "{kind}");
+            assert_eq!(
+                acc.device_time,
+                expected.device_time + fleet.merge_time(nodes.len()),
+                "{kind}"
+            );
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub mod stats;
 
 pub use backend::{
     make_backend, BackendAccounting, BackendBatch, BoundingBackend, GpuBackend, MulticoreBackend,
-    PipelinedGpuBackend, SequentialBackend,
+    SequentialBackend,
 };
 pub use cache::{
     perturbed, CacheDonor, Certificate, ConfigKey, InstanceKey, ReuseKey, SolveCache,
@@ -45,7 +45,7 @@ pub use fleet::{
     MemberModel, StealSummary,
 };
 pub use kernel_lb::LowerBoundKernel;
-pub use offload::{BoundingEngine, PipelineSession, PipelinedBatch, PipelinedBoundingResult};
+pub use offload::{BoundingEngine, PipelineSession, PipelinedBatch};
 pub use placement::DataPlacement;
 pub use service::{
     CacheDisposition, CachePolicy, IncumbentUpdate, JobHandle, JobId, JobOutcome, JobSpec,

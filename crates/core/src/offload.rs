@@ -7,16 +7,16 @@ use crate::placement::{DataPlacement, MatrixId};
 use bb::FspNode;
 use fsp::bound::counts::AccessCounts;
 use fsp::{BoundData, BoundScratch, JohnsonLowerBound, Time};
-use gpu_sim::host::BufferKind;
+use gpu_sim::host::{BufferKind, LaunchResult};
 use gpu_sim::thread::AccessTally;
 use gpu_sim::{
     AnalyticWorkload, Device, DeviceBuffer, DeviceStreams, KernelTiming, LaunchConfig, LaunchStats,
     Timeline,
 };
-use std::collections::VecDeque;
 use std::time::Duration;
 
-/// Result of bounding one off-loaded pool.
+/// Result of bounding one off-loaded pool in a single launch
+/// ([`BoundingEngine::bound_nodes`] / [`BoundingEngine::bound_nodes_fast`]).
 #[derive(Debug, Clone)]
 pub struct BoundingResult {
     /// Lower bound of every node of the pool, in input order.
@@ -41,59 +41,20 @@ impl BoundingResult {
 }
 
 /// Result of bounding one batch through the stream-overlapped pipeline
-/// ([`BoundingEngine::bound_nodes_pipelined`]).
-///
-/// The batch is split into chunks; each chunk's encode, upload, kernel and
-/// download are enqueued on four streams with event dependencies, so the
-/// modelled wall time (`overlapped_time`, the timeline makespan) approaches
-/// `max(kernel, transfer)` per chunk at steady state instead of their sum.
-#[derive(Debug, Clone)]
-pub struct PipelinedBoundingResult {
-    /// Lower bound of every node, in input order.
-    pub bounds: Vec<Time>,
-    /// Summed kernel time over all chunks (what a serialized schedule pays
-    /// in compute).
-    pub kernel_time: Duration,
-    /// Summed PCIe transfer time over all chunks.
-    pub transfer_time: Duration,
-    /// Makespan of the overlapped schedule — the modelled wall time of the
-    /// whole batch. Strictly less than `kernel_time + transfer_time`
-    /// whenever the batch spans more than one chunk.
-    pub overlapped_time: Duration,
-    /// Bytes shipped host→device.
-    pub upload_bytes: usize,
-    /// Bytes shipped device→host.
-    pub download_bytes: usize,
-    /// Number of chunks (kernel launches) the batch was split into.
-    pub chunks: usize,
-    /// Device block waves across those launches
-    /// (`ceil(grid_blocks / multiprocessors)` each, summed).
-    pub waves: u64,
-    /// Modelled duration of every launch, in schedule order.
-    pub launch_times: Vec<Duration>,
-    /// The event timeline of the schedule (inspectable in tests and
-    /// reports).
-    pub timeline: Timeline,
-}
-
-impl PipelinedBoundingResult {
-    /// Kernel + transfer summed — what the same batch costs without
-    /// overlap; the gap to [`Self::overlapped_time`] is the pipeline win.
-    pub fn serialized_device_time(&self) -> Duration {
-        self.kernel_time + self.transfer_time
-    }
-}
-
-/// Result of bounding one batch inside a long-lived [`PipelineSession`]
 /// ([`BoundingEngine::bound_nodes_pipelined_in`]).
 ///
-/// Unlike [`PipelinedBoundingResult`], the modelled wall time here is the
-/// **critical-path increment**: how much this batch pushed the session's
-/// makespan out. At a pipeline boundary the increment is smaller than the
-/// batch's standalone schedule, because its first uploads hide under the
-/// previous batch's kernels and downloads — the cross-iteration overlap the
-/// paper's per-iteration loop leaves on the table.
-#[derive(Debug, Clone)]
+/// The batch is split into chunks; each chunk's encode, upload, kernel and
+/// download are enqueued on four streams with event dependencies. The
+/// modelled wall time is the **critical-path increment**: how much this
+/// batch pushed its session's makespan out. On a fresh session that is the
+/// batch's own fill-and-drain makespan, which approaches
+/// `max(kernel, transfer)` per chunk at steady state instead of their sum
+/// (a one-chunk batch pays exactly `kernel_time + transfer_time`). At a
+/// pipeline boundary of a long-lived session the increment is smaller
+/// still, because the batch's first uploads hide under the previous batch's
+/// kernels and downloads — the cross-iteration overlap the paper's
+/// per-iteration loop leaves on the table.
+#[derive(Debug, Clone, Default)]
 pub struct PipelinedBatch {
     /// Lower bound of every node, in input order.
     pub bounds: Vec<Time>,
@@ -133,12 +94,10 @@ pub struct PipelinedBatch {
 ///   the kernel that last read it, and a kernel writing a slot's output must
 ///   wait for the download that last drained it (the WAR hazards real
 ///   double buffering has);
-/// * the **staging gate** — with a lookahead depth of *d*
-///   ([`BoundingEngine::pipeline_session_with_depth`]; the default depth is
-///   one), the host selects and encodes batch *b* only after the bounds of
-///   batch *b − (d + 1)* have landed, so the first encode of a batch waits
-///   for the last D2H completion `d + 1` batches back. The solvers keep one
-///   batch in flight (depth 1).
+/// * the **staging gate** — the solvers keep one batch in flight, so the
+///   host selects and encodes batch *b* only after the bounds of batch
+///   *b − 2* have landed: the first encode of a batch waits for the last
+///   D2H completion two batches back.
 ///
 /// Cross-batch dependencies are carried as completion-time floors
 /// (equivalent to event dependencies), which lets the session compact the
@@ -162,12 +121,9 @@ pub struct PipelineSession {
     /// Completion of the D2H that last drained each output slot (kernel WAR
     /// hazard).
     d2h_end_by_slot: [Option<Duration>; 2],
-    /// Completion of the last D2H of the most recent `depth + 1` batches,
-    /// oldest first; once full, the front — batch *b − (depth + 1)* — gates
-    /// the next batch's staging.
-    batch_tails: VecDeque<Duration>,
-    /// The staging-gate lookahead depth (≥ 1).
-    depth: usize,
+    /// Completion of the last D2H of the two most recent batches, oldest
+    /// first; the front — batch *b − 2* — gates the next batch's staging.
+    batch_tails: [Option<Duration>; 2],
     batches: usize,
 }
 
@@ -190,11 +146,6 @@ impl PipelineSession {
     pub fn batches(&self) -> usize {
         self.batches
     }
-
-    /// The staging-gate lookahead depth this session models.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
 }
 
 /// Owns the simulated device, the six matrix buffers and the per-iteration
@@ -216,17 +167,15 @@ pub struct BoundingEngine {
     qm: DeviceBuffer,
     mm: DeviceBuffer,
     /// Two device-side pool slots (and matching output slots below): the
-    /// pipelined paths alternate slots per chunk, so the upload of chunk
-    /// *k+1* targets a buffer the in-flight kernel of chunk *k* is not
-    /// reading — classic double buffering, continued across batches by
+    /// pipeline alternates slots per chunk, so the upload of chunk *k+1*
+    /// targets a buffer the in-flight kernel of chunk *k* is not reading —
+    /// classic double buffering, continued across batches by
     /// [`PipelineSession`] so waves of consecutive solver iterations can
-    /// overlap too. [`BoundingEngine::bound_nodes`] uses slot 0 only.
+    /// overlap too. The one-launch paths use slot 0 only.
     pool_bufs: [DeviceBuffer; 2],
     out_bufs: [DeviceBuffer; 2],
-    /// Two reusable host staging buffers for the flat pool encoding,
-    /// alternated in lockstep with the device slots so chunk *k+1* is
-    /// encoded while chunk *k* is modelled in flight.
-    encode_bufs: [Vec<u32>; 2],
+    /// Reusable host staging buffer for the flat pool encoding.
+    encode_buf: Vec<u32>,
     /// Per-engine scratch for the host-side reference bound (fast-forward
     /// mode bounds whole pools without a single allocation).
     scratch: BoundScratch,
@@ -327,7 +276,7 @@ impl BoundingEngine {
             mm,
             pool_bufs,
             out_bufs,
-            encode_bufs: [Vec::new(), Vec::new()],
+            encode_buf: Vec::new(),
             scratch: BoundScratch::new(),
         }
     }
@@ -394,9 +343,9 @@ impl BoundingEngine {
     }
 
     /// Encodes `nodes` into the flat pool layout read by the kernel, staged
-    /// in the engine's reusable buffer `slot`.
-    fn encode(&mut self, nodes: &[FspNode], slot: usize) {
-        let flat = &mut self.encode_bufs[slot];
+    /// in the engine's reusable host buffer.
+    fn encode(&mut self, nodes: &[FspNode]) {
+        let flat = &mut self.encode_buf;
         flat.clear();
         flat.resize(nodes.len() * self.node_stride, 0);
         for (i, node) in nodes.iter().enumerate() {
@@ -426,32 +375,57 @@ impl BoundingEngine {
         }
     }
 
+    /// Bounds one chunk on pool slot `slot`, appending its bounds to
+    /// `bounds`: a functional kernel launch over the encoded chunk or, with
+    /// `host_bound` (fast-forward mode), the host reference bound plus an
+    /// analytic launch over the exactly known access tally. Both share the
+    /// cost function, so their timing is identical.
+    fn launch_chunk(
+        &mut self,
+        nodes: &[FspNode],
+        slot: usize,
+        host_bound: Option<&JohnsonLowerBound>,
+        bounds: &mut Vec<Time>,
+    ) -> LaunchResult {
+        let config = self.launch_config(nodes.len());
+        match host_bound {
+            None => {
+                self.encode(nodes);
+                self.device.upload(self.pool_bufs[slot], &self.encode_buf);
+                let launch = self
+                    .device
+                    .launch(&self.kernel_on(nodes.len(), slot), &config);
+                bounds.extend_from_slice(
+                    self.device
+                        .download_prefix(self.out_bufs[slot], nodes.len()),
+                );
+                launch
+            }
+            Some(lb) => {
+                for node in nodes {
+                    bounds.push(
+                        lb.bound_prefix_fn_with(&mut self.scratch, node.front(), |j| {
+                            node.is_scheduled(j)
+                        }),
+                    );
+                }
+                let workload = AnalyticWorkload {
+                    tally: self.analytic_tally(nodes),
+                    total_threads: nodes.len(),
+                };
+                self.device.launch_analytic(&workload, &config)
+            }
+        }
+    }
+
     /// Bounds `nodes` by functionally simulating the kernel (every thread is
-    /// executed; results are exact, timing is estimated).
+    /// executed; results are exact, timing is estimated) in one launch.
     ///
     /// # Panics
     ///
     /// Panics if `nodes` exceeds the engine's pool capacity.
     pub fn bound_nodes(&mut self, nodes: &[FspNode]) -> BoundingResult {
-        assert!(
-            nodes.len() <= self.max_pool,
-            "pool of {} exceeds engine capacity {}",
-            nodes.len(),
-            self.max_pool
-        );
-        if nodes.is_empty() {
-            return self.empty_result();
-        }
-        self.encode(nodes, 0);
-        self.device.upload(self.pool_bufs[0], &self.encode_bufs[0]);
-        let config = self.launch_config(nodes.len());
-        let kernel = self.kernel_on(nodes.len(), 0);
-        let result = self.device.launch(&kernel, &config);
-        let bounds = self
-            .device
-            .download_prefix(self.out_bufs[0], nodes.len())
-            .to_vec();
-        self.finish(nodes, bounds, result.timing, result.stats)
+        self.bound_one_launch(nodes, None)
     }
 
     /// Bounds `nodes` in fast-forward mode: the lower bounds come from the
@@ -459,10 +433,22 @@ impl BoundingEngine {
     /// the analytically known access counts — the two paths share the cost
     /// function, so the timing matches [`BoundingEngine::bound_nodes`]
     /// exactly (see the tests below).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` exceeds the engine's pool capacity.
     pub fn bound_nodes_fast(
         &mut self,
         nodes: &[FspNode],
         host_bound: &JohnsonLowerBound,
+    ) -> BoundingResult {
+        self.bound_one_launch(nodes, Some(host_bound))
+    }
+
+    fn bound_one_launch(
+        &mut self,
+        nodes: &[FspNode],
+        host_bound: Option<&JohnsonLowerBound>,
     ) -> BoundingResult {
         assert!(
             nodes.len() <= self.max_pool,
@@ -473,40 +459,24 @@ impl BoundingEngine {
         if nodes.is_empty() {
             return self.empty_result();
         }
-        let mut bounds: Vec<Time> = Vec::with_capacity(nodes.len());
-        for node in nodes {
-            bounds.push(
-                host_bound.bound_prefix_fn_with(&mut self.scratch, node.front(), |j| {
-                    node.is_scheduled(j)
-                }),
-            );
+        let mut bounds = Vec::with_capacity(nodes.len());
+        let launch = self.launch_chunk(nodes, 0, host_bound, &mut bounds);
+        let upload_bytes = self.upload_bytes(nodes);
+        let download_bytes = nodes.len() * 4;
+        BoundingResult {
+            bounds,
+            kernel: launch.timing,
+            stats: launch.stats,
+            transfer_time: self.device.round_trip_time(upload_bytes, download_bytes),
+            upload_bytes,
+            download_bytes,
         }
-        let workload = AnalyticWorkload {
-            tally: self.analytic_tally(nodes),
-            total_threads: nodes.len(),
-        };
-        let config = self.launch_config(nodes.len());
-        let result = self.device.launch_analytic(&workload, &config);
-        self.finish(nodes, bounds, result.timing, result.stats)
     }
 
-    /// Bounds `nodes` through the double-buffered, stream-overlapped
-    /// pipeline: the batch is split into chunks of `chunk_size`, and each
-    /// chunk's encode → upload → kernel → download is enqueued on the four
-    /// standard streams ([`Device::timeline`]) with event dependencies, so
-    /// the next chunk is encoded and uploaded while the previous one is
-    /// modelled in flight. Bounds are exact and identical to
-    /// [`BoundingEngine::bound_nodes`]; the modelled wall time is the
-    /// timeline makespan instead of the serialized sum.
-    ///
-    /// With `host_bound` supplied the bounds come from the host reference
-    /// and the kernel timing is analytic (fast-forward mode) — results and
-    /// modelled times match the functional path exactly.
-    ///
-    /// This entry point models a **standalone** batch: the pipeline fills
-    /// and drains within the call. To overlap batches of consecutive solver
-    /// iterations, run them through one [`PipelineSession`] with
-    /// [`BoundingEngine::bound_nodes_pipelined_in`] instead.
+    /// Bounds `nodes` as a **standalone** batch of the stream-overlapped
+    /// pipeline: [`BoundingEngine::bound_nodes_pipelined_in`] on a fresh
+    /// [`PipelineSession`], so the pipeline fills and drains within the
+    /// call and the returned critical path is the batch's own makespan.
     ///
     /// # Panics
     ///
@@ -516,40 +486,15 @@ impl BoundingEngine {
         nodes: &[FspNode],
         chunk_size: usize,
         host_bound: Option<&JohnsonLowerBound>,
-    ) -> PipelinedBoundingResult {
+    ) -> PipelinedBatch {
         let mut session = self.pipeline_session();
-        let batch = self.bound_nodes_pipelined_in(nodes, chunk_size, host_bound, &mut session);
-        PipelinedBoundingResult {
-            bounds: batch.bounds,
-            kernel_time: batch.kernel_time,
-            transfer_time: batch.transfer_time,
-            overlapped_time: batch.critical_path,
-            upload_bytes: batch.upload_bytes,
-            download_bytes: batch.download_bytes,
-            chunks: batch.chunks,
-            waves: batch.waves,
-            launch_times: batch.launch_times,
-            timeline: session.timeline,
-        }
+        self.bound_nodes_pipelined_in(nodes, chunk_size, host_bound, &mut session)
     }
 
     /// Starts a fresh cross-iteration pipeline on this engine's device: an
     /// empty timeline with the four standard streams, slot parity at zero,
-    /// staging-gate depth one (one batch in flight).
+    /// no batch in flight.
     pub fn pipeline_session(&self) -> PipelineSession {
-        self.pipeline_session_with_depth(1)
-    }
-
-    /// Like [`BoundingEngine::pipeline_session`], but with an explicit
-    /// staging-gate lookahead depth: the first encode of batch *b* waits for
-    /// the last D2H of batch *b − (depth + 1)*. Deeper gates model hosts
-    /// that keep several batches in flight at once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    pub fn pipeline_session_with_depth(&self, depth: usize) -> PipelineSession {
-        assert!(depth > 0, "the staging gate needs a positive depth");
         let (timeline, streams) = self.device.timeline();
         PipelineSession {
             timeline,
@@ -557,16 +502,22 @@ impl BoundingEngine {
             parity: 0,
             kernel_end_by_slot: [None; 2],
             d2h_end_by_slot: [None; 2],
-            batch_tails: VecDeque::with_capacity(depth + 1),
-            depth,
+            batch_tails: [None; 2],
             batches: 0,
         }
     }
 
-    /// Bounds `nodes` as one batch of a long-lived [`PipelineSession`],
-    /// continuing the session's timeline, stream heads and slot parity so
-    /// that this batch's H2D fill overlaps the previous batch's kernel and
-    /// D2H tail on the modelled schedule (cross-iteration overlap).
+    /// Bounds `nodes` as one batch of a [`PipelineSession`]: the batch is
+    /// split into chunks of `chunk_size`, and each chunk's encode → upload
+    /// → kernel → download is enqueued on the four standard streams
+    /// ([`Device::timeline`]) with event dependencies, so the next chunk is
+    /// staged into the other buffer slot and uploaded while the previous
+    /// one is modelled in flight. The session's timeline, stream heads and
+    /// slot parity carry over from its previous batches, so this batch's
+    /// H2D fill overlaps the previous batch's kernel and D2H tail
+    /// (cross-iteration overlap). One chunk of the whole batch on a fresh
+    /// session is the paper's one-launch off-load: its critical path is
+    /// exactly `upload + kernel + download`.
     ///
     /// The recorded dependencies are exactly the ones a double-buffered CUDA
     /// implementation with a lookahead of one batch would need:
@@ -578,9 +529,12 @@ impl BoundingEngine {
     /// * a kernel writing an output slot waits for the D2H that last
     ///   drained it;
     /// * chunk-level H2D → kernel → D2H dependencies and per-stream FIFO
-    ///   order, as in the standalone pipeline.
+    ///   order.
     ///
-    /// Bounds are bit-identical to [`BoundingEngine::bound_nodes`].
+    /// With `host_bound` supplied the bounds come from the host reference
+    /// and the kernel timing is analytic (fast-forward mode); bounds and
+    /// modelled times match the functional path exactly, and the bounds are
+    /// bit-identical to [`BoundingEngine::bound_nodes`].
     ///
     /// # Panics
     ///
@@ -599,159 +553,91 @@ impl BoundingEngine {
             chunk_size,
             self.max_pool
         );
+        let mut batch = PipelinedBatch {
+            bounds: Vec::with_capacity(nodes.len()),
+            ..PipelinedBatch::default()
+        };
+        if nodes.is_empty() {
+            return batch;
+        }
         let start_makespan = session.timeline.makespan();
-        let mut bounds: Vec<Time> = Vec::with_capacity(nodes.len());
-        let mut kernel_time = Duration::ZERO;
-        let mut transfer_time = Duration::ZERO;
-        let mut upload_total = 0usize;
-        let mut download_total = 0usize;
-        let mut waves = 0u64;
-        let mut launch_times = Vec::new();
-
-        let chunks: Vec<&[FspNode]> = nodes.chunks(chunk_size).collect();
-        let functional = host_bound.is_none();
         // Compact the previous batches' events before recording this one:
         // every cross-batch dependency is carried as a completion-time
         // floor, so the retained window only ever holds the current batch
         // and a session spanning a whole solve stays bounded in memory.
-        if !chunks.is_empty() {
-            session.timeline.clear_history();
-        }
+        session.timeline.clear_history();
         let timeline = &mut session.timeline;
         let streams = session.streams;
 
-        // Host pool encoding is *not* priced into the modelled device time —
-        // neither here nor in the one-launch paths — so the overlapped and
-        // serialized figures compare like for like. The encode events are
-        // still recorded (zero-duration, on the host stream) because the
-        // upload of chunk k must order after its staging; the first encode
-        // of the batch additionally waits for the bounds the host consumed
-        // before selecting this batch (the staging gate, see
-        // [`PipelineSession`]).
-        let mut encode_events = Vec::with_capacity(chunks.len());
-        if let Some(first) = chunks.first() {
-            if functional {
-                self.encode(first, session.parity);
-            }
-            // The ring holds the tails of the most recent `depth + 1`
-            // batches; when full, its front is batch b − (depth + 1), whose
-            // bounds the host consumed before selecting this batch.
-            let gate: &[Duration] = match session.batch_tails.front() {
-                Some(end) if session.batch_tails.len() == session.depth + 1 => {
-                    std::slice::from_ref(end)
-                }
-                _ => &[],
-            };
-            encode_events.push(timeline.record_after(streams.host, Duration::ZERO, &[], gate));
-        }
-
-        let mut last_d2h_end = None;
-        for (k, chunk) in chunks.iter().enumerate() {
+        // Host pool encoding is *not* priced into the modelled device time,
+        // so the overlapped and serialized figures compare like for like.
+        // The encode events are still recorded (zero-duration, on the host
+        // stream) because the upload of chunk k must order after its
+        // staging; the first encode of the batch additionally waits for the
+        // bounds the host consumed before selecting this batch (the staging
+        // gate, see [`PipelineSession`]).
+        let mut encode_ev = timeline.record_after(
+            streams.host,
+            Duration::ZERO,
+            &[],
+            session.batch_tails[0].as_slice(),
+        );
+        let chunk_count = nodes.len().div_ceil(chunk_size);
+        let mut last_d2h_end = Duration::ZERO;
+        for (k, chunk) in nodes.chunks(chunk_size).enumerate() {
             let slot = session.parity;
             session.parity ^= 1;
+            let launch = self.launch_chunk(chunk, slot, host_bound, &mut batch.bounds);
 
             // H2D copy of the staged encoding: waits for its encode and for
             // the kernel that last read this pool slot (double buffering
             // means two chunks may be in flight, never three).
             let up_bytes = self.upload_bytes(chunk);
             let up_dur = self.device.htod_time(up_bytes);
-            if functional {
-                self.device
-                    .upload(self.pool_bufs[slot], &self.encode_bufs[slot]);
-            }
-            let mut up_floors: Vec<Duration> = Vec::with_capacity(1);
-            if let Some(prev_kernel_end) = session.kernel_end_by_slot[slot] {
-                up_floors.push(prev_kernel_end);
-            }
-            let up_ev = timeline.record_after(streams.h2d, up_dur, &[encode_events[k]], &up_floors);
-            upload_total += up_bytes;
-            transfer_time += up_dur;
+            let up_ev = timeline.record_after(
+                streams.h2d,
+                up_dur,
+                &[encode_ev],
+                session.kernel_end_by_slot[slot].as_slice(),
+            );
+            batch.upload_bytes += up_bytes;
+            batch.transfer_time += up_dur;
 
             // Kernel over the chunk: waits for its upload and for the D2H
             // that last drained this output slot.
-            let config = self.launch_config(chunk.len());
-            let launch = match host_bound {
-                None => {
-                    let kernel = self.kernel_on(chunk.len(), slot);
-                    self.device.launch(&kernel, &config)
-                }
-                Some(lb) => {
-                    for node in *chunk {
-                        bounds.push(lb.bound_prefix_fn_with(
-                            &mut self.scratch,
-                            node.front(),
-                            |j| node.is_scheduled(j),
-                        ));
-                    }
-                    let workload = AnalyticWorkload {
-                        tally: self.analytic_tally(chunk),
-                        total_threads: chunk.len(),
-                    };
-                    self.device.launch_analytic(&workload, &config)
-                }
-            };
-            let mut kernel_floors: Vec<Duration> = Vec::with_capacity(1);
-            if let Some(prev_d2h_end) = session.d2h_end_by_slot[slot] {
-                kernel_floors.push(prev_d2h_end);
-            }
             let kernel_ev = timeline.record_after(
                 streams.compute,
                 launch.timing.duration,
                 &[up_ev],
-                &kernel_floors,
+                session.d2h_end_by_slot[slot].as_slice(),
             );
             session.kernel_end_by_slot[slot] = Some(timeline.completion(kernel_ev));
-            kernel_time += launch.timing.duration;
-            waves += self.device.spec().waves(config.grid_blocks) as u64;
-            launch_times.push(launch.timing.duration);
+            batch.kernel_time += launch.timing.duration;
+            batch.waves += self.device.spec().waves(launch.stats.grid_blocks) as u64;
+            batch.launch_times.push(launch.timing.duration);
 
-            // Double buffering: encode chunk k+1 into the other slot while
-            // chunk k is modelled in flight (no dependency on the device).
-            if let Some(next) = chunks.get(k + 1) {
-                if functional {
-                    self.encode(next, session.parity);
-                }
-                encode_events.push(timeline.record(streams.host, Duration::ZERO, &[]));
+            // Double buffering: chunk k+1 is staged into the other slot
+            // while chunk k is modelled in flight (no dependency on the
+            // device).
+            if k + 1 < chunk_count {
+                encode_ev = timeline.record(streams.host, Duration::ZERO, &[]);
             }
 
             // D2H copy of the chunk's bounds (waits for its kernel).
             let down_bytes = chunk.len() * 4;
             let down_dur = self.device.htod_time(down_bytes);
             let d2h_ev = timeline.record(streams.d2h, down_dur, &[kernel_ev]);
-            let d2h_end = timeline.completion(d2h_ev);
-            session.d2h_end_by_slot[slot] = Some(d2h_end);
-            last_d2h_end = Some(d2h_end);
-            download_total += down_bytes;
-            transfer_time += down_dur;
-            if functional {
-                bounds.extend_from_slice(
-                    self.device
-                        .download_prefix(self.out_bufs[slot], chunk.len()),
-                );
-            }
+            last_d2h_end = timeline.completion(d2h_ev);
+            session.d2h_end_by_slot[slot] = Some(last_d2h_end);
+            batch.download_bytes += down_bytes;
+            batch.transfer_time += down_dur;
         }
 
-        if !chunks.is_empty() {
-            if let Some(end) = last_d2h_end {
-                session.batch_tails.push_back(end);
-                if session.batch_tails.len() > session.depth + 1 {
-                    session.batch_tails.pop_front();
-                }
-            }
-            session.batches += 1;
-        }
-
-        PipelinedBatch {
-            bounds,
-            kernel_time,
-            transfer_time,
-            critical_path: session.timeline.makespan() - start_makespan,
-            upload_bytes: upload_total,
-            download_bytes: download_total,
-            chunks: chunks.len(),
-            waves,
-            launch_times,
-        }
+        session.batch_tails = [session.batch_tails[1], Some(last_d2h_end)];
+        session.batches += 1;
+        batch.chunks = chunk_count;
+        batch.critical_path = session.timeline.makespan() - start_makespan;
+        batch
     }
 
     /// The exact per-space access tally the kernel produces for `nodes`,
@@ -794,26 +680,6 @@ impl BoundingEngine {
             add(MatrixId::Mm, counts.mm);
         }
         tally
-    }
-
-    fn finish(
-        &self,
-        nodes: &[FspNode],
-        bounds: Vec<Time>,
-        kernel: KernelTiming,
-        stats: LaunchStats,
-    ) -> BoundingResult {
-        let upload_bytes = self.upload_bytes(nodes);
-        let download_bytes = nodes.len() * 4;
-        let transfer_time = self.device.round_trip_time(upload_bytes, download_bytes);
-        BoundingResult {
-            bounds,
-            kernel,
-            stats,
-            transfer_time,
-            upload_bytes,
-            download_bytes,
-        }
     }
 
     fn empty_result(&self) -> BoundingResult {
@@ -998,7 +864,7 @@ mod tests {
         assert_eq!(functional.bounds, fast.bounds);
         assert_eq!(functional.kernel_time, fast.kernel_time);
         assert_eq!(functional.transfer_time, fast.transfer_time);
-        assert_eq!(functional.overlapped_time, fast.overlapped_time);
+        assert_eq!(functional.critical_path, fast.critical_path);
         assert_eq!(functional.chunks, fast.chunks);
     }
 
@@ -1009,17 +875,20 @@ mod tests {
         let nodes = some_nodes(&inst, 128);
         let piped = engine.bound_nodes_pipelined(&nodes, 32, None);
         assert_eq!(piped.chunks, 4);
+        let serialized = piped.kernel_time + piped.transfer_time;
         assert!(
-            piped.overlapped_time < piped.serialized_device_time(),
-            "overlapped {:?} must beat serialized {:?}",
-            piped.overlapped_time,
-            piped.serialized_device_time()
+            piped.critical_path < serialized,
+            "overlapped {:?} must beat serialized {serialized:?}",
+            piped.critical_path,
         );
         // A single chunk cannot overlap anything: the makespan is the full
         // dependency chain.
         let single = engine.bound_nodes_pipelined(&nodes, 128, None);
         assert_eq!(single.chunks, 1);
-        assert!(single.overlapped_time >= single.serialized_device_time());
+        assert_eq!(
+            single.critical_path,
+            single.kernel_time + single.transfer_time
+        );
     }
 
     #[test]
@@ -1047,7 +916,7 @@ mod tests {
         let result = engine.bound_nodes_pipelined(&[], 4, None);
         assert!(result.bounds.is_empty());
         assert_eq!(result.chunks, 0);
-        assert_eq!(result.overlapped_time, Duration::ZERO);
+        assert_eq!(result.critical_path, Duration::ZERO);
     }
 
     #[test]
@@ -1091,7 +960,7 @@ mod tests {
         // schedule.
         let mut standalone = Duration::ZERO;
         for batch in nodes.chunks(32) {
-            standalone += engine.bound_nodes_pipelined(batch, 8, None).overlapped_time;
+            standalone += engine.bound_nodes_pipelined(batch, 8, None).critical_path;
         }
         // Cross-iteration: the same batches ride one session, so each
         // batch's fill hides under the previous batch's tail.
@@ -1129,52 +998,6 @@ mod tests {
             last_len = session.timeline().len();
         }
         assert_eq!(session.batches(), 3);
-    }
-
-    #[test]
-    fn deeper_staging_gates_never_lengthen_the_schedule() {
-        // A depth-d gate makes batch b wait for the bounds of batch
-        // b − (d + 1); a deeper gate is a weaker constraint, so the session
-        // makespan is monotonically non-increasing in the depth, and the
-        // default session is exactly the depth-1 session.
-        let inst = generate("t", 12, 6, 421);
-        let (mut engine, lb) = engine_for(&inst, DataPlacement::SharedJmPtm, 64);
-        let nodes = some_nodes(&inst, 60);
-        let run = |engine: &mut BoundingEngine, mut session: PipelineSession| {
-            let mut bounds = Vec::new();
-            for chunk in nodes.chunks(10) {
-                bounds.extend(
-                    engine
-                        .bound_nodes_pipelined_in(chunk, 5, Some(&lb), &mut session)
-                        .bounds,
-                );
-            }
-            (session.makespan(), bounds)
-        };
-        let default_session = engine.pipeline_session();
-        assert_eq!(default_session.depth(), 1);
-        let (default_makespan, reference) = run(&mut engine, default_session);
-        let mut last = None;
-        for depth in [1, 2, 4, 16] {
-            let session = engine.pipeline_session_with_depth(depth);
-            let (makespan, bounds) = run(&mut engine, session);
-            assert_eq!(bounds, reference, "depth {depth} must not change bounds");
-            if depth == 1 {
-                assert_eq!(makespan, default_makespan);
-            }
-            if let Some(prev) = last {
-                assert!(makespan <= prev, "depth {depth} lengthened the schedule");
-            }
-            last = Some(makespan);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "positive depth")]
-    fn zero_depth_session_panics() {
-        let inst = generate("t", 8, 4, 2);
-        let (engine, _) = engine_for(&inst, DataPlacement::AllGlobal, 8);
-        engine.pipeline_session_with_depth(0);
     }
 
     #[test]

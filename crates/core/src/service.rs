@@ -802,9 +802,10 @@ impl SolveService {
     ///   root;
     /// * **miss** — a cold solve; its certificate is stored for next time.
     ///
-    /// Requests carrying a request-level `node_budget` or `deadline`, or
-    /// [`CachePolicy::Disabled`], bypass the cache entirely and behave
-    /// bit-identically to [`SolveService::submit`] +
+    /// Requests carrying a request-level `node_budget` or `deadline`, a
+    /// configured wall-clock [`GpuSolverConfig::time_limit`] (it becomes the
+    /// job's deadline), or [`CachePolicy::Disabled`], bypass the cache
+    /// entirely and behave bit-identically to [`SolveService::submit`] +
     /// [`SolveService::run_until_idle`] of the same spec.
     ///
     /// Drives the scheduler with [`SolveService::run_until_idle`], so any
@@ -818,10 +819,13 @@ impl SolveService {
             node_budget,
             deadline,
         } = request;
-        // Truncation points (budgets, deadlines) are caller state, not
-        // workload content: such requests never read or feed the cache.
-        let cacheable =
-            policy == CachePolicy::ReadWrite && node_budget.is_none() && deadline.is_none();
+        // Truncation points (budgets, deadlines, wall-clock limits) are
+        // caller state, not workload content: such requests never read or
+        // feed the cache.
+        let cacheable = policy == CachePolicy::ReadWrite
+            && node_budget.is_none()
+            && deadline.is_none()
+            && config.time_limit.is_none();
 
         if cacheable {
             let instance_key = InstanceKey::of(&instance);

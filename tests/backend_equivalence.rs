@@ -278,11 +278,11 @@ fn ta001_pipelined_schedule_beats_the_serialized_sum() {
     let chunk = frozen.nodes.len().div_ceil(4);
     let piped = engine.bound_nodes_pipelined(&frozen.nodes, chunk, Some(&lb));
     assert!(piped.chunks >= 2);
+    let serialized = piped.kernel_time + piped.transfer_time;
     assert!(
-        piped.overlapped_time < piped.serialized_device_time(),
-        "overlapped {:?} must be strictly below kernel + transfer = {:?}",
-        piped.overlapped_time,
-        piped.serialized_device_time()
+        piped.critical_path < serialized,
+        "overlapped {:?} must be strictly below kernel + transfer = {serialized:?}",
+        piped.critical_path,
     );
 }
 
@@ -294,8 +294,9 @@ fn overlapped_streams_never_reorder_dependent_ops() {
     let lb = problem.bound_fn().clone();
     let mut engine =
         BoundingEngine::new(lb.data(), DataPlacement::SharedJmPtm, 256, 26, nodes.len());
-    let result = engine.bound_nodes_pipelined(&nodes, 24, Some(&lb));
-    let timeline = &result.timeline;
+    let mut session = engine.pipeline_session();
+    let result = engine.bound_nodes_pipelined_in(&nodes, 24, Some(&lb), &mut session);
+    let timeline = session.timeline();
 
     // Streams are created in Device::timeline() order: host encode, H2D,
     // compute, D2H.

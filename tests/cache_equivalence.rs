@@ -17,7 +17,8 @@
 //!    `cache_invalidated_nodes`;
 //! 4. a cache-disabled request is bit-identical to `submit` +
 //!    `run_until_idle` of the same spec — the consolidated entry point
-//!    adds no accounting of its own.
+//!    adds no accounting of its own; requests truncated by a budget, a
+//!    deadline or a wall-clock `time_limit` take the same bypass.
 //!
 //! Like `backend_equivalence`, the CI `cache-matrix` job runs this suite
 //! once per backend by setting `BACKEND_FILTER`; unset, every kind runs.
@@ -27,6 +28,7 @@ use flowshop_gpu_bnb::gpu_bnb::{
     perturbed, BackendKind, CacheDisposition, CachePolicy, DataPlacement, FleetTopology,
     GpuSolverConfig, JobSpec, ServiceConfig, SolveRequest, SolveService,
 };
+use std::time::Duration;
 
 /// The backends this suite checks: `BACKEND_FILTER` when set, the full
 /// roster otherwise (mirrors `service_equivalence::gated_kinds`).
@@ -255,5 +257,30 @@ fn cache_disabled_requests_are_bit_identical_to_submit() {
             service.request(SolveRequest::new(inst.clone(), config.clone()).with_node_budget(50));
         assert_eq!(budgeted.disposition, CacheDisposition::Disabled, "{kind}");
         assert_eq!(service.cached_certificates(), 0, "{kind}");
+    }
+}
+
+#[test]
+fn wall_clock_limited_requests_bypass_the_cache() {
+    // A configured `time_limit` becomes the job's deadline: where it cuts
+    // the search depends on the machine, so the certificate is not a
+    // function of the workload and must never be stored or served.
+    let inst = instance(10, 6, 31);
+    for kind in gated_kinds() {
+        let config = GpuSolverConfig {
+            time_limit: Some(Duration::ZERO),
+            ..config_for(kind)
+        };
+        let service = SolveService::new(ServiceConfig { max_concurrent: 2 });
+        for repeat in 0..2 {
+            let outcome = service.request(SolveRequest::new(inst.clone(), config.clone()));
+            assert_eq!(
+                outcome.disposition,
+                CacheDisposition::Disabled,
+                "{kind}: request {repeat}"
+            );
+            assert!(outcome.job.is_some(), "{kind}: a solver ran");
+        }
+        assert_eq!(service.cached_certificates(), 0, "{kind}: nothing stored");
     }
 }
