@@ -21,8 +21,15 @@
 //! rarely accessed compared to `PTM`/`JM`/`LM`) is unchanged; see
 //! [`super::counts`].
 //!
-//! Everything is stored flat in `Vec<u32>` so the GPU off-load engine can
-//! copy the buffers to (simulated) device memory without re-marshalling.
+//! The six matrices are stored flat in `Vec<u32>` so the GPU off-load engine
+//! can copy the buffers to (simulated) device memory without re-marshalling.
+//!
+//! Three further tables serve only the host bound and are never uploaded:
+//! the Johnson orders as `u16` jobs and the lags in Johnson order, both
+//! pair-major, so the host walks each pair's order with unit-stride reads
+//! (6 bytes per (job, pair)), and a machine-major copy of `PTM` (4 bytes per
+//! (job, machine)). They are not part of [`BoundData::sizes_bytes`], which
+//! reports the paper's six matrices.
 
 use crate::instance::Instance;
 use crate::johnson::{johnson_order_with_lags, lag};
@@ -48,16 +55,38 @@ pub struct BoundData {
     /// `P × 2`: `mm[pair * 2]` and `mm[pair * 2 + 1]` are the two machines of
     /// the pair, with `mm[2p] < mm[2p+1]`.
     mm: Vec<u32>,
+    /// Host only, `P × n`, pair-major: `order_by_pair[pair * n + pos]` is
+    /// `jm(pos, pair)`; every entry is `< n`.
+    order_by_pair: Vec<u16>,
+    /// Host only, `P × n`, pair-major in Johnson order:
+    /// `lag_by_pair[pair * n + pos]` is `lm(jm(pos, pair), pair)`.
+    lag_by_pair: Vec<Time>,
+    /// Host only, `m × n`, machine-major: `pt_by_machine[k * n + j]` is
+    /// `ptm(j, k)`.
+    pt_by_machine: Vec<Time>,
 }
 
 impl BoundData {
-    /// Pre-computes all six matrices for `inst`.
+    /// Pre-computes all six matrices, and the host bound's own tables, for
+    /// `inst`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inst` has more than 65,536 jobs: job indices are stored
+    /// as `u16`, as in the B&B node's prefix.
     pub fn new(inst: &Instance) -> Self {
         let n = inst.jobs();
         let m = inst.machines();
         let num_pairs = m * (m - 1) / 2;
+        assert!(
+            n <= usize::from(u16::MAX) + 1,
+            "{n} jobs do not fit u16 job indices"
+        );
 
         let ptm = inst.raw().to_vec();
+        let pt_by_machine = (0..m)
+            .flat_map(|k| (0..n).map(move |j| inst.pt(j, k)))
+            .collect();
 
         // Machine pairs in the canonical order used everywhere: (0,1), (0,2),
         // …, (0,m-1), (1,2), …, (m-2,m-1).
@@ -78,13 +107,18 @@ impl BoundData {
             }
         }
 
-        // Johnson orders per pair.
+        // Johnson orders per pair, position-major for the device and
+        // pair-major (with the lags in the same order) for the host.
         let mut jm = vec![0u32; n * num_pairs];
+        let mut order_by_pair = Vec::with_capacity(n * num_pairs);
+        let mut lag_by_pair = Vec::with_capacity(n * num_pairs);
         for (pair, chunk) in mm.chunks_exact(2).enumerate() {
             let (k, l) = (chunk[0] as usize, chunk[1] as usize);
             let order = johnson_order_with_lags(inst, k, l);
             for (pos, &job) in order.iter().enumerate() {
                 jm[pos * num_pairs + pair] = job as u32;
+                order_by_pair.push(job as u16);
+                lag_by_pair.push(lm[job * num_pairs + pair]);
             }
         }
 
@@ -114,6 +148,9 @@ impl BoundData {
             rm,
             qm,
             mm,
+            order_by_pair,
+            lag_by_pair,
+            pt_by_machine,
         }
     }
 
@@ -169,6 +206,22 @@ impl BoundData {
             self.mm[pair * 2] as Machine,
             self.mm[pair * 2 + 1] as Machine,
         )
+    }
+
+    /// The Johnson order of `pair` and the lags in that order (host-only
+    /// tables): `order[pos] == jm(pos, pair)` and
+    /// `lags[pos] == lm(order[pos], pair)`, both of length `n`.
+    #[inline]
+    pub(crate) fn johnson_pair(&self, pair: usize) -> (&[u16], &[Time]) {
+        let range = pair * self.jobs..(pair + 1) * self.jobs;
+        (&self.order_by_pair[range.clone()], &self.lag_by_pair[range])
+    }
+
+    /// The processing times of every job on `machine` (host-only table):
+    /// `times[j] == ptm(j, machine)`, of length `n`.
+    #[inline]
+    pub(crate) fn pt_on(&self, machine: Machine) -> &[Time] {
+        &self.pt_by_machine[machine * self.jobs..(machine + 1) * self.jobs]
     }
 
     /// Raw flat `PTM` buffer (`n × m` `u32`s) — for device upload.
@@ -301,6 +354,26 @@ mod tests {
         for p in 0..data.num_pairs() {
             let order: Vec<usize> = (0..12).map(|pos| data.jm(pos, p)).collect();
             assert!(crate::schedule::is_permutation(&order, 12));
+        }
+    }
+
+    #[test]
+    fn host_tables_follow_jm_lm_and_ptm() {
+        let inst = generate("t", 11, 5, 8);
+        let data = BoundData::new(&inst);
+        for p in 0..data.num_pairs() {
+            let (order, lags) = data.johnson_pair(p);
+            assert_eq!(order.len(), 11);
+            let (k, l) = data.pair(p);
+            for j in 0..11 {
+                assert_eq!(data.pt_on(k)[j], data.ptm(j, k));
+                assert_eq!(data.pt_on(l)[j], data.ptm(j, l));
+            }
+            for pos in 0..11 {
+                let job = order[pos] as usize;
+                assert_eq!(job, data.jm(pos, p));
+                assert_eq!(lags[pos], data.lm(job, p));
+            }
         }
     }
 

@@ -8,11 +8,17 @@
 //! job tails — is a valid lower bound on the makespan of every completion of
 //! the partial schedule.
 //!
-//! The structure of [`JohnsonLowerBound::bound_prefix`] mirrors the paper's
-//! `computeLB` pseudo-code line by line so that the GPU kernel
-//! (`gpu-bnb::kernel_lb`) and this reference implementation stay in lockstep;
-//! an instrumented variant reports per-matrix access counts used to validate
-//! the Table I complexity analysis.
+//! The instrumented [`JohnsonLowerBound::bound_prefix_counted`] mirrors the
+//! paper's `computeLB` pseudo-code line by line, so that the GPU kernel
+//! (`gpu-bnb::kernel_lb`) and this reference stay in lockstep, and reports
+//! the per-matrix access counts used to validate the Table I complexity
+//! analysis.
+//!
+//! Every other entry point runs the host's fast path, which returns the same
+//! value: it masks the scheduled jobs instead of skipping them, so the loop
+//! over each pair's Johnson order has no data-dependent branch, and it reads
+//! the pair-major host tables of [`BoundData::johnson_pair`] with unit
+//! stride.
 
 use super::counts::AccessCounts;
 use super::data::BoundData;
@@ -48,18 +54,19 @@ impl JohnsonLowerBound {
     /// prefix `front` (per-machine completion times) and the `scheduled`
     /// membership array.
     ///
-    /// This is the host-side reference of the GPU kernel: same algorithm,
-    /// same data structures. Uses the thread-local [`BoundScratch`]; batch
-    /// callers should prefer [`Self::bound_prefix_with`].
+    /// Returns exactly the value of the GPU kernel and of the line-by-line
+    /// reference [`Self::bound_prefix_counted`]. Uses the thread-local
+    /// [`BoundScratch`]; batch callers should prefer
+    /// [`Self::bound_prefix_with`].
     pub fn bound_prefix(&self, front: &[Time], scheduled: &[bool]) -> Time {
-        with_thread_scratch(|s| self.bound_prefix_impl(front, |j| scheduled[j], None, s))
+        with_thread_scratch(|s| self.bound_prefix_impl(front, |j| scheduled[j], s))
     }
 
     /// Like [`Self::bound_prefix`] but with scheduled-set membership supplied
     /// as a predicate (avoids materialising a `Vec<bool>` for callers that
     /// keep the set as a bitset, such as the B&B node type).
     pub fn bound_prefix_fn(&self, front: &[Time], is_scheduled: impl Fn(Job) -> bool) -> Time {
-        with_thread_scratch(|s| self.bound_prefix_impl(front, is_scheduled, None, s))
+        with_thread_scratch(|s| self.bound_prefix_impl(front, is_scheduled, s))
     }
 
     /// Like [`Self::bound_prefix`] with an explicit, caller-owned scratch —
@@ -71,7 +78,7 @@ impl JohnsonLowerBound {
         front: &[Time],
         scheduled: &[bool],
     ) -> Time {
-        self.bound_prefix_impl(front, |j| scheduled[j], None, scratch)
+        self.bound_prefix_impl(front, |j| scheduled[j], scratch)
     }
 
     /// Predicate variant of [`Self::bound_prefix_with`].
@@ -81,57 +88,41 @@ impl JohnsonLowerBound {
         front: &[Time],
         is_scheduled: impl Fn(Job) -> bool,
     ) -> Time {
-        self.bound_prefix_impl(front, is_scheduled, None, scratch)
+        self.bound_prefix_impl(front, is_scheduled, scratch)
     }
 
     /// Same as [`Self::bound_prefix`] but records how many times each of the
     /// six matrices is read (used to validate Table I).
+    ///
+    /// This is the line-by-line transcription of the paper's Figure 2 over
+    /// the six matrices of Table I, and the reference the fast path is
+    /// tested against.
     pub fn bound_prefix_counted(&self, front: &[Time], scheduled: &[bool]) -> (Time, AccessCounts) {
         let mut counts = AccessCounts::default();
-        let lb = with_thread_scratch(|s| {
-            self.bound_prefix_impl(front, |j| scheduled[j], Some(&mut counts), s)
-        });
-        (lb, counts)
-    }
-
-    fn bound_prefix_impl(
-        &self,
-        front: &[Time],
-        scheduled: impl Fn(Job) -> bool,
-        mut counts: Option<&mut AccessCounts>,
-        scratch: &mut BoundScratch,
-    ) -> Time {
         let data = &self.data;
         let n = data.jobs();
         let m = data.machines();
         debug_assert_eq!(front.len(), m);
 
-        macro_rules! tally {
-            ($field:ident, $amount:expr) => {
-                if let Some(c) = counts.as_deref_mut() {
-                    c.$field += $amount;
-                }
-            };
-        }
-
         // Per-machine earliest start (head) and smallest tail over the
         // remaining jobs. Computed once per sub-problem; reads RM and QM
         // n' × m times in total.
-        let (min_head, min_tail) = scratch.heads_tails(m);
+        let mut min_head = vec![Time::MAX; m];
+        let mut min_tail = vec![Time::MAX; m];
         let mut remaining = 0usize;
-        for job in 0..n {
-            if scheduled(job) {
+        for (job, &is_scheduled) in scheduled[..n].iter().enumerate() {
+            if is_scheduled {
                 continue;
             }
             remaining += 1;
             for k in 0..m {
                 let h = data.rm(job, k);
-                tally!(rm, 1);
+                counts.rm += 1;
                 if h < min_head[k] {
                     min_head[k] = h;
                 }
                 let t = data.qm(job, k);
-                tally!(qm, 1);
+                counts.qm += 1;
                 if t < min_tail[k] {
                     min_tail[k] = t;
                 }
@@ -140,13 +131,13 @@ impl JohnsonLowerBound {
 
         // A completed schedule: the bound is exactly the prefix makespan.
         if remaining == 0 {
-            return front[m - 1];
+            return (front[m - 1], counts);
         }
 
         let mut lb: Time = 0;
         for pair in 0..data.num_pairs() {
             let (m1, m2) = data.pair(pair);
-            tally!(mm, 2);
+            counts.mm += 2;
 
             // Machine availability: the prefix keeps machine k busy until
             // front[k]; independently no remaining job can reach machine k
@@ -158,17 +149,17 @@ impl JohnsonLowerBound {
             // the paper's Figure 2).
             for pos in 0..n {
                 let job = data.jm(pos, pair);
-                tally!(jm, 1);
-                if scheduled(job) {
+                counts.jm += 1;
+                if scheduled[job] {
                     continue;
                 }
                 time_on_m1 += data.ptm(job, m1);
-                tally!(ptm, 1);
+                counts.ptm += 1;
                 let lag = data.lm(job, pair);
-                tally!(lm, 1);
+                counts.lm += 1;
                 let ready_on_m2 = time_on_m1 + lag;
                 let p2 = data.ptm(job, m2);
-                tally!(ptm, 1);
+                counts.ptm += 1;
                 if time_on_m2 > ready_on_m2 {
                     time_on_m2 += p2;
                 } else {
@@ -182,6 +173,67 @@ impl JohnsonLowerBound {
                 lb = bound_for_pair;
             }
         }
+        (lb, counts)
+    }
+
+    /// The fast path. It returns the value of [`Self::bound_prefix_counted`],
+    /// but masks the scheduled jobs instead of skipping them.
+    fn bound_prefix_impl(
+        &self,
+        front: &[Time],
+        scheduled: impl Fn(Job) -> bool,
+        scratch: &mut BoundScratch,
+    ) -> Time {
+        let data = &self.data;
+        let n = data.jobs();
+        let m = data.machines();
+        debug_assert_eq!(front.len(), m);
+
+        // One pass over the jobs builds the keep mask (`Time::MAX` for a
+        // remaining job, `0` for a scheduled one) and takes the head and
+        // tail minima; a scheduled job's heads and tails are or-ed up to
+        // `Time::MAX`, so they never win a minimum.
+        let (keep, min_head, min_tail) = scratch.keep_heads_tails(n, m);
+        let rows = data
+            .rm_raw()
+            .chunks_exact(m)
+            .zip(data.qm_raw().chunks_exact(m));
+        let mut remaining = 0usize;
+        for (job, (kept, (heads, tails))) in keep.iter_mut().zip(rows).enumerate() {
+            let is_remaining = !scheduled(job);
+            remaining += usize::from(is_remaining);
+            *kept = Time::from(is_remaining).wrapping_neg();
+            for k in 0..m {
+                min_head[k] = min_head[k].min(heads[k] | !*kept);
+                min_tail[k] = min_tail[k].min(tails[k] | !*kept);
+            }
+        }
+        if remaining == 0 {
+            return front[m - 1];
+        }
+
+        // Equal lengths let one `job < n` test cover all three reads below.
+        let keep = &keep[..n];
+        let mut lb: Time = 0;
+        for pair in 0..data.num_pairs() {
+            let (m1, m2) = data.pair(pair);
+            let mut t1 = front[m1].max(min_head[m1]);
+            let mut t2 = front[m2].max(min_head[m2]);
+            // A masked job (p1 = lag = p2 = 0) sets t2 to max(t2, t1). After
+            // the first remaining job t2 >= t1 holds, so that changes
+            // nothing; before it, the remaining job's own
+            // max(t2, t1 + p1 + lag) covers the raise. The value is the
+            // reference's for any `front`.
+            let (order, lags) = data.johnson_pair(pair);
+            let (p1, p2) = (&data.pt_on(m1)[..n], &data.pt_on(m2)[..n]);
+            for (&job, &lag) in order.iter().zip(lags) {
+                let job = usize::from(job);
+                let kept = keep[job];
+                t1 += p1[job] & kept;
+                t2 = t2.max(t1 + (lag & kept)) + (p2[job] & kept);
+            }
+            lb = lb.max(t2 + min_tail[m2]);
+        }
         lb
     }
 
@@ -194,12 +246,7 @@ impl JohnsonLowerBound {
 
 impl LowerBound for JohnsonLowerBound {
     fn bound(&self, schedule: &PartialSchedule<'_>) -> Time {
-        let n = self.data.jobs();
-        let mut scheduled = vec![false; n];
-        for &j in schedule.prefix() {
-            scheduled[j] = true;
-        }
-        self.bound_prefix(schedule.front(), &scheduled)
+        self.bound_prefix_fn(schedule.front(), |j| schedule.is_scheduled(j))
     }
 
     fn name(&self) -> &'static str {

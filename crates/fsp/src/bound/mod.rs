@@ -19,10 +19,11 @@ use crate::schedule::PartialSchedule;
 use crate::Time;
 use std::cell::RefCell;
 
-/// Reusable per-machine working arrays for the host-side bounds.
+/// Reusable per-machine and per-job working arrays for the host-side bounds.
 ///
 /// Every bound evaluation needs the per-machine minima (heads/tails, and the
-/// remaining load for [`lb1::OneMachineBound`]) over the unscheduled jobs.
+/// remaining load for [`lb1::OneMachineBound`]) over the unscheduled jobs,
+/// and the Johnson bound a per-job keep mask.
 /// Allocating them per call dominates the cost of bounding small batches, so
 /// callers that bound many sub-problems — the off-load engine's fast-forward
 /// path, the serial solver — hold one `BoundScratch` and pass it to the
@@ -35,6 +36,9 @@ pub struct BoundScratch {
     pub(crate) min_head: Vec<Time>,
     pub(crate) min_tail: Vec<Time>,
     pub(crate) load: Vec<Time>,
+    /// Per job: `Time::MAX` if it remains unscheduled, `0` if it is
+    /// scheduled (the Johnson bound's branch-free mask).
+    pub(crate) keep: Vec<Time>,
 }
 
 impl BoundScratch {
@@ -43,16 +47,23 @@ impl BoundScratch {
         Self::default()
     }
 
-    /// Resets and returns the head/tail minima buffers sized for `m`
-    /// machines, initialised to `Time::MAX`.
-    pub(crate) fn heads_tails(&mut self, m: usize) -> (&mut [Time], &mut [Time]) {
+    /// The keep mask sized for `n` jobs (its contents are for the caller to
+    /// overwrite), plus the head/tail minima buffers sized for `m` machines
+    /// and reset to `Time::MAX`.
+    pub(crate) fn keep_heads_tails(
+        &mut self,
+        n: usize,
+        m: usize,
+    ) -> (&mut [Time], &mut [Time], &mut [Time]) {
+        self.keep.resize(n, 0);
         reset(&mut self.min_head, m, Time::MAX);
         reset(&mut self.min_tail, m, Time::MAX);
-        (&mut self.min_head, &mut self.min_tail)
+        (&mut self.keep, &mut self.min_head, &mut self.min_tail)
     }
 
-    /// Like [`Self::heads_tails`] plus the per-machine load buffer reset to
-    /// zero (the one-machine bound's accumulator).
+    /// The head/tail minima buffers sized for `m` machines and reset to
+    /// `Time::MAX`, plus the per-machine load buffer reset to zero (the
+    /// one-machine bound's accumulator).
     pub(crate) fn heads_tails_load(&mut self, m: usize) -> (&mut [Time], &mut [Time], &mut [Time]) {
         reset(&mut self.min_head, m, Time::MAX);
         reset(&mut self.min_tail, m, Time::MAX);

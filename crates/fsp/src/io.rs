@@ -44,7 +44,8 @@ pub enum ParseError {
     UnexpectedEnd,
     /// A token could not be parsed as an integer.
     BadNumber(String),
-    /// The header numbers are inconsistent (zero jobs/machines).
+    /// The header numbers are inconsistent (zero jobs/machines, or more
+    /// than 65,536 jobs).
     BadHeader(String),
     /// The processing-time matrix has the wrong number of values.
     WrongMatrixSize {
@@ -89,7 +90,8 @@ pub fn parse_taillard(name: &str, text: &str) -> Result<(Instance, TaillardHeade
     }
     let jobs = numbers[0] as usize;
     let machines = numbers[1] as usize;
-    if jobs == 0 || machines == 0 {
+    // Job indices are `u16` in the bound tables and the B&B nodes.
+    if jobs == 0 || machines == 0 || jobs > usize::from(u16::MAX) + 1 {
         return Err(ParseError::BadHeader(format!(
             "jobs = {jobs}, machines = {machines}"
         )));
@@ -218,11 +220,12 @@ mod tests {
 
     #[test]
     fn zero_dimensions_are_rejected() {
-        let bad = "0 2 0 0 0\n";
-        assert!(matches!(
-            parse_taillard("bad", bad),
-            Err(ParseError::BadHeader(_))
-        ));
+        for bad in ["0 2 0 0 0\n", "65537 2 0 0 0\n", "-1 2 0 0 0\n"] {
+            assert!(matches!(
+                parse_taillard("bad", bad),
+                Err(ParseError::BadHeader(_))
+            ));
+        }
     }
 
     #[test]
