@@ -2,7 +2,7 @@
 //! branching and bounding operators for the permutation Flow-Shop.
 
 use crate::node::FspNode;
-use fsp::bound::LowerBound;
+use fsp::bound::{with_thread_scratch, LowerBound};
 use fsp::{Instance, JohnsonLowerBound, OneMachineBound, Time};
 use std::sync::Arc;
 
@@ -10,10 +10,18 @@ use std::sync::Arc;
 /// avoiding the construction of a borrowing `PartialSchedule`.
 ///
 /// Implemented for the two bounds shipped by the `fsp` crate; custom bounds
-/// only need this one method.
+/// only need [`NodeBound::bound_node`] and [`NodeBound::bound_name`].
 pub trait NodeBound: Send + Sync {
     /// Lower bound on the makespan of every completion of `node`.
     fn bound_node(&self, node: &FspNode) -> Time;
+
+    /// Appends the bound of every node of `nodes` to `out`, in input order;
+    /// each equals [`NodeBound::bound_node`] of its node. The default bounds
+    /// one node at a time; the Johnson bound overrides it with its batch
+    /// kernel, which bounds several nodes per pass.
+    fn bound_nodes(&self, nodes: &[FspNode], out: &mut Vec<Time>) {
+        out.extend(nodes.iter().map(|node| self.bound_node(node)));
+    }
 
     /// Short name used in experiment reports.
     fn bound_name(&self) -> &'static str;
@@ -22,6 +30,12 @@ pub trait NodeBound: Send + Sync {
 impl NodeBound for JohnsonLowerBound {
     fn bound_node(&self, node: &FspNode) -> Time {
         self.bound_prefix_fn(node.front(), |j| node.is_scheduled(j))
+    }
+
+    fn bound_nodes(&self, nodes: &[FspNode], out: &mut Vec<Time>) {
+        with_thread_scratch(|scratch| {
+            self.bound_batch_with(scratch, nodes, FspNode::front, FspNode::is_scheduled, out)
+        })
     }
 
     fn bound_name(&self) -> &'static str {
@@ -42,6 +56,9 @@ impl NodeBound for OneMachineBound {
 impl<B: NodeBound + ?Sized> NodeBound for Arc<B> {
     fn bound_node(&self, node: &FspNode) -> Time {
         (**self).bound_node(node)
+    }
+    fn bound_nodes(&self, nodes: &[FspNode], out: &mut Vec<Time>) {
+        (**self).bound_nodes(nodes, out)
     }
     fn bound_name(&self) -> &'static str {
         (**self).bound_name()
@@ -123,6 +140,17 @@ impl<B: NodeBound> FspProblem<B> {
         lb
     }
 
+    /// The **bounding** operator over a batch: evaluates and records the
+    /// lower bound of every node of `nodes` through
+    /// [`NodeBound::bound_nodes`].
+    pub fn bound_all(&self, nodes: &mut [FspNode]) {
+        let mut bounds = Vec::with_capacity(nodes.len());
+        self.bound.bound_nodes(nodes, &mut bounds);
+        for (node, lb) in nodes.iter_mut().zip(bounds) {
+            node.set_bound(lb);
+        }
+    }
+
     /// Lower bound without mutating the node.
     pub fn bound_value(&self, node: &FspNode) -> Time {
         self.bound.bound_node(node)
@@ -202,6 +230,53 @@ mod tests {
         let via_node = prob.bound_value(&node);
         let via_sched = bound_via_partial_schedule(&inst, prob.bound_fn().as_ref(), &[4, 1, 7]);
         assert_eq!(via_node, via_sched);
+    }
+
+    /// `bound_nodes` must append exactly `bound_node` of every node, for
+    /// batches shorter and longer than the Johnson kernel's lane count.
+    fn assert_batch_matches_single<B: NodeBound>(bound: &B, nodes: &[FspNode]) {
+        let single: Vec<Time> = nodes.iter().map(|node| bound.bound_node(node)).collect();
+        for len in 0..=nodes.len() {
+            let mut batch = vec![7];
+            bound.bound_nodes(&nodes[..len], &mut batch);
+            assert_eq!(batch[0], 7, "{}: must append", bound.bound_name());
+            assert_eq!(
+                batch[1..],
+                single[..len],
+                "{}, {len} nodes",
+                bound.bound_name()
+            );
+        }
+    }
+
+    #[test]
+    fn bound_nodes_equals_bound_node_per_node() {
+        let inst = generate("t", 9, 5, 17);
+        let prob = FspProblem::new(inst.clone());
+        // Nodes of every depth, complete ones included, in a mixed order.
+        let mut nodes = vec![prob.root()];
+        let mut parent = prob.root();
+        while !prob.is_leaf(&parent) {
+            let children = prob.branch(&parent);
+            parent = children[children.len() / 2].clone();
+            nodes.extend(children);
+        }
+        nodes.rotate_left(5);
+        assert!(nodes.len() > 2 * JohnsonLowerBound::LANES + 1);
+        let johnson = JohnsonLowerBound::new(&inst);
+        assert_batch_matches_single(&johnson, &nodes);
+        assert_batch_matches_single(&Arc::new(johnson), &nodes);
+        assert_batch_matches_single(&OneMachineBound::new(&inst), &nodes);
+    }
+
+    #[test]
+    fn bound_all_records_every_bound() {
+        let prob = FspProblem::new(generate("t", 8, 4, 11));
+        let mut children = prob.branch(&prob.root());
+        prob.bound_all(&mut children);
+        for child in &children {
+            assert_eq!(child.bound(), prob.bound_value(child));
+        }
     }
 
     #[test]

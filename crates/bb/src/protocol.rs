@@ -70,19 +70,13 @@ fn bound_wave<B: NodeBound>(problem: &FspProblem<B>, children: &mut [FspNode]) {
         .unwrap_or(1)
         .min(MAX_FREEZE_THREADS);
     if threads < 2 || children.len() < PARALLEL_BOUND_THRESHOLD {
-        for child in children {
-            problem.bound(child);
-        }
+        problem.bound_all(children);
         return;
     }
     let chunk = children.len().div_ceil(threads);
     std::thread::scope(|scope| {
         for part in children.chunks_mut(chunk) {
-            scope.spawn(move || {
-                for child in part {
-                    problem.bound(child);
-                }
-            });
+            scope.spawn(move || problem.bound_all(part));
         }
     });
 }

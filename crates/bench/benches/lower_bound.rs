@@ -4,10 +4,12 @@
 //!
 //! Re-bounding one node keeps the branch predictor and the caches warm, so
 //! the `population` rows also bound realistic node populations, each once
-//! per iteration, through the batch entry point the backends use, and report
-//! ns per node: every depth-3 node of the smoke instance (20×20, seed 2012),
-//! its 512-node frozen frontier, and the frozen frontier of one 200×20
-//! instance.
+//! per iteration, and report ns per node: every depth-3 node of the smoke
+//! instance (20×20, seed 2012), its 512-node frozen frontier, and the frozen
+//! frontier of one 200×20 instance. The `johnson` rows bound one node per
+//! call (the single-node entry point); the `johnson-batch` rows bound the
+//! same population through the batch entry point the backends use, eight
+//! nodes per kernel call.
 
 use bb::{frozen_pool, FspNode, FspProblem};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -75,6 +77,24 @@ fn bench_populations(c: &mut Criterion) {
                     .fold(0, Time::wrapping_add)
             })
         });
+        let mut bounds = Vec::with_capacity(nodes.len());
+        group.bench_with_input(
+            BenchmarkId::new("johnson-batch", label),
+            nodes,
+            |b, nodes| {
+                b.iter(|| {
+                    bounds.clear();
+                    johnson.bound_batch_with(
+                        &mut scratch,
+                        nodes,
+                        FspNode::front,
+                        FspNode::is_scheduled,
+                        &mut bounds,
+                    );
+                    bounds.iter().fold(0, |acc: Time, &lb| acc.wrapping_add(lb))
+                })
+            },
+        );
     }
     group.finish();
 }

@@ -237,13 +237,14 @@ impl BoundingBackend for SequentialBackend {
     }
 
     fn bound_batch(&mut self, nodes: &[FspNode]) -> BackendBatch {
-        let bounds: Vec<Time> = nodes
-            .iter()
-            .map(|node| {
-                self.lb
-                    .bound_prefix_fn_with(&mut self.scratch, node.front(), |j| node.is_scheduled(j))
-            })
-            .collect();
+        let mut bounds = Vec::with_capacity(nodes.len());
+        self.lb.bound_batch_with(
+            &mut self.scratch,
+            nodes,
+            FspNode::front,
+            FspNode::is_scheduled,
+            &mut bounds,
+        );
         let accesses = serial_accesses(self.jobs, self.machines, nodes);
         let compute = self
             .host

@@ -402,13 +402,13 @@ impl BoundingEngine {
                 launch
             }
             Some(lb) => {
-                for node in nodes {
-                    bounds.push(
-                        lb.bound_prefix_fn_with(&mut self.scratch, node.front(), |j| {
-                            node.is_scheduled(j)
-                        }),
-                    );
-                }
+                lb.bound_batch_with(
+                    &mut self.scratch,
+                    nodes,
+                    FspNode::front,
+                    FspNode::is_scheduled,
+                    bounds,
+                );
                 let workload = AnalyticWorkload {
                     tally: self.analytic_tally(nodes),
                     total_threads: nodes.len(),

@@ -874,14 +874,16 @@ impl SolveService {
                         // changed are the invalidated subtrees the resumed
                         // solve re-explores.
                         let problem = FspProblem::new(instance.clone());
-                        let mut nodes = Vec::with_capacity(checkpoint.frontier.len());
-                        for (prefix, stored_bound) in &checkpoint.frontier {
-                            let mut node = FspNode::from_prefix(&instance, prefix);
-                            problem.bound(&mut node);
+                        let mut nodes: Vec<FspNode> = checkpoint
+                            .frontier
+                            .iter()
+                            .map(|(prefix, _)| FspNode::from_prefix(&instance, prefix))
+                            .collect();
+                        problem.bound_all(&mut nodes);
+                        for (node, (_, stored_bound)) in nodes.iter().zip(&checkpoint.frontier) {
                             if node.bound() != *stored_bound {
                                 invalidated += 1;
                             }
-                            nodes.push(node);
                         }
                         spec = spec.with_initial_nodes(nodes);
                     }

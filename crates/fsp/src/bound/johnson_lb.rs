@@ -14,15 +14,23 @@
 //! the per-matrix access counts used to validate the Table I complexity
 //! analysis.
 //!
-//! Every other entry point runs the host's fast path, which returns the same
-//! value: it masks the scheduled jobs instead of skipping them, so the loop
-//! over each pair's Johnson order has no data-dependent branch, and it reads
-//! the pair-major host tables of [`BoundData::johnson_pair`] with unit
-//! stride.
+//! Every other entry point runs one host kernel, `bound_block`, which returns
+//! the same value. It is the paper's thread-per-node mapping on host SIMD
+//! lanes: it bounds up to `L` nodes of the instance together, one node per
+//! lane, and every lane walks the same Johnson order, lags and processing
+//! times, so those are loaded once per step and shared. The lanes are plain
+//! `[Time; L]` arrays that the compiler vectorises for the default target;
+//! there is no `unsafe`, no target feature and no runtime dispatch. A lane
+//! masks its node's scheduled jobs instead of skipping them, so the loop over
+//! each pair's Johnson order has no data-dependent branch, and it reads the
+//! pair-major host tables of `BoundData::johnson_pair` with unit stride.
+//! [`JohnsonLowerBound::bound_batch_with`] bounds a slice of nodes
+//! [`JohnsonLowerBound::LANES`] at a time; the single-node entry points run
+//! the same kernel with one lane.
 
 use super::counts::AccessCounts;
 use super::data::BoundData;
-use super::{with_thread_scratch, BoundScratch, LowerBound};
+use super::{with_thread_scratch, BoundScratch, Lanes, LowerBound};
 use crate::schedule::PartialSchedule;
 use crate::{Job, Time};
 
@@ -33,6 +41,10 @@ pub struct JohnsonLowerBound {
 }
 
 impl JohnsonLowerBound {
+    /// Nodes [`Self::bound_batch_with`] bounds together, one per lane of the
+    /// kernel: eight `u32` lanes fill two SSE2 registers.
+    pub const LANES: usize = 8;
+
     /// Pre-computes the six bound matrices for `inst`.
     pub fn new(inst: &crate::instance::Instance) -> Self {
         Self {
@@ -57,28 +69,29 @@ impl JohnsonLowerBound {
     /// Returns exactly the value of the GPU kernel and of the line-by-line
     /// reference [`Self::bound_prefix_counted`]. Uses the thread-local
     /// [`BoundScratch`]; batch callers should prefer
-    /// [`Self::bound_prefix_with`].
+    /// [`Self::bound_batch_with`].
     pub fn bound_prefix(&self, front: &[Time], scheduled: &[bool]) -> Time {
-        with_thread_scratch(|s| self.bound_prefix_impl(front, |j| scheduled[j], s))
+        with_thread_scratch(|s| self.bound_prefix_fn_with(s, front, |j| scheduled[j]))
     }
 
     /// Like [`Self::bound_prefix`] but with scheduled-set membership supplied
     /// as a predicate (avoids materialising a `Vec<bool>` for callers that
     /// keep the set as a bitset, such as the B&B node type).
     pub fn bound_prefix_fn(&self, front: &[Time], is_scheduled: impl Fn(Job) -> bool) -> Time {
-        with_thread_scratch(|s| self.bound_prefix_impl(front, is_scheduled, s))
+        with_thread_scratch(|s| self.bound_prefix_fn_with(s, front, is_scheduled))
     }
 
-    /// Like [`Self::bound_prefix`] with an explicit, caller-owned scratch —
-    /// the batch entry point: allocate the scratch once, reuse it for every
-    /// sub-problem of every pool.
+    /// Like [`Self::bound_prefix`] with an explicit, caller-owned scratch:
+    /// allocate the scratch once, reuse it for every sub-problem. Callers
+    /// with a slice of sub-problems should prefer the faster
+    /// [`Self::bound_batch_with`].
     pub fn bound_prefix_with(
         &self,
         scratch: &mut BoundScratch,
         front: &[Time],
         scheduled: &[bool],
     ) -> Time {
-        self.bound_prefix_impl(front, |j| scheduled[j], scratch)
+        self.bound_prefix_fn_with(scratch, front, |j| scheduled[j])
     }
 
     /// Predicate variant of [`Self::bound_prefix_with`].
@@ -88,7 +101,37 @@ impl JohnsonLowerBound {
         front: &[Time],
         is_scheduled: impl Fn(Job) -> bool,
     ) -> Time {
-        self.bound_prefix_impl(front, is_scheduled, scratch)
+        let [lb] = self.bound_block::<1>(scratch, [front], |_, job| is_scheduled(job));
+        lb
+    }
+
+    /// Bounds every item of `items`, appending the bounds to `out` in input
+    /// order; each equals [`Self::bound_prefix`] of the item's `front` and
+    /// scheduled set.
+    ///
+    /// The items are bounded [`Self::LANES`] at a time, one per lane of the
+    /// kernel. `front` gives an item's per-machine completion times and
+    /// `is_scheduled` its scheduled-set membership, so any node type can be
+    /// bounded without copying it.
+    pub fn bound_batch_with<T>(
+        &self,
+        scratch: &mut BoundScratch,
+        items: &[T],
+        front: impl Fn(&T) -> &[Time],
+        is_scheduled: impl Fn(&T, Job) -> bool,
+        out: &mut Vec<Time>,
+    ) {
+        out.reserve(items.len());
+        for block in items.chunks(Self::LANES) {
+            // A short last block repeats its last item; the bounds of the
+            // padded lanes are dropped.
+            let lanes: [&T; Self::LANES] =
+                std::array::from_fn(|lane| &block[lane.min(block.len() - 1)]);
+            let bounds = self.bound_block(scratch, lanes.map(&front), |lane, job| {
+                is_scheduled(lanes[lane], job)
+            });
+            out.extend_from_slice(&bounds[..block.len()]);
+        }
     }
 
     /// Same as [`Self::bound_prefix`] but records how many times each of the
@@ -176,49 +219,75 @@ impl JohnsonLowerBound {
         (lb, counts)
     }
 
-    /// The fast path. It returns the value of [`Self::bound_prefix_counted`],
-    /// but masks the scheduled jobs instead of skipping them.
-    fn bound_prefix_impl(
+    /// The kernel: bounds `L` nodes, one per lane, given each lane's front
+    /// and a `(lane, job)` scheduled-set predicate. Every lane returns the
+    /// value of [`Self::bound_prefix_counted`] for its node, but masks the
+    /// scheduled jobs instead of skipping them.
+    fn bound_block<const L: usize>(
         &self,
-        front: &[Time],
-        scheduled: impl Fn(Job) -> bool,
         scratch: &mut BoundScratch,
-    ) -> Time {
+        fronts: [&[Time]; L],
+        is_scheduled: impl Fn(usize, Job) -> bool,
+    ) -> [Time; L] {
         let data = &self.data;
         let n = data.jobs();
         let m = data.machines();
-        debug_assert_eq!(front.len(), m);
+        let Lanes {
+            keep,
+            front,
+            min_head,
+            min_tail,
+        } = scratch.lanes::<L>(n, m);
+        for (k, lanes) in front.iter_mut().enumerate() {
+            for (value, lane_front) in lanes.iter_mut().zip(fronts) {
+                debug_assert_eq!(lane_front.len(), m);
+                *value = lane_front[k];
+            }
+        }
 
-        // One pass over the jobs builds the keep mask (`Time::MAX` for a
-        // remaining job, `0` for a scheduled one) and takes the head and
-        // tail minima; a scheduled job's heads and tails are or-ed up to
+        // One pass over the jobs builds each lane's keep mask (`Time::MAX`
+        // for a remaining job, `0` for a scheduled one) and takes the head
+        // and tail minima; a scheduled job's heads and tails are or-ed up to
         // `Time::MAX`, so they never win a minimum.
-        let (keep, min_head, min_tail) = scratch.keep_heads_tails(n, m);
         let rows = data
             .rm_raw()
             .chunks_exact(m)
             .zip(data.qm_raw().chunks_exact(m));
-        let mut remaining = 0usize;
+        let mut remaining = [0usize; L];
         for (job, (kept, (heads, tails))) in keep.iter_mut().zip(rows).enumerate() {
-            let is_remaining = !scheduled(job);
-            remaining += usize::from(is_remaining);
-            *kept = Time::from(is_remaining).wrapping_neg();
+            for (lane, (kept, remaining)) in kept.iter_mut().zip(&mut remaining).enumerate() {
+                let is_remaining = !is_scheduled(lane, job);
+                *remaining += usize::from(is_remaining);
+                *kept = Time::from(is_remaining).wrapping_neg();
+            }
             for k in 0..m {
-                min_head[k] = min_head[k].min(heads[k] | !*kept);
-                min_tail[k] = min_tail[k].min(tails[k] | !*kept);
+                for lane in 0..L {
+                    min_head[k][lane] = min_head[k][lane].min(heads[k] | !kept[lane]);
+                    min_tail[k][lane] = min_tail[k][lane].min(tails[k] | !kept[lane]);
+                }
             }
         }
-        if remaining == 0 {
+        // A complete schedule's bound is its makespan. Its lane has no
+        // heads or tails; zeroing them keeps its discarded pair loop below
+        // from overflowing.
+        let complete = remaining.map(|r| r == 0);
+        if complete.iter().all(|&c| c) {
             return front[m - 1];
+        }
+        for lane in (0..L).filter(|&lane| complete[lane]) {
+            for k in 0..m {
+                min_head[k][lane] = 0;
+                min_tail[k][lane] = 0;
+            }
         }
 
         // Equal lengths let one `job < n` test cover all three reads below.
         let keep = &keep[..n];
-        let mut lb: Time = 0;
+        let mut lb = [0 as Time; L];
         for pair in 0..data.num_pairs() {
             let (m1, m2) = data.pair(pair);
-            let mut t1 = front[m1].max(min_head[m1]);
-            let mut t2 = front[m2].max(min_head[m2]);
+            let mut t1: [Time; L] = std::array::from_fn(|l| front[m1][l].max(min_head[m1][l]));
+            let mut t2: [Time; L] = std::array::from_fn(|l| front[m2][l].max(min_head[m2][l]));
             // A masked job (p1 = lag = p2 = 0) sets t2 to max(t2, t1). After
             // the first remaining job t2 >= t1 holds, so that changes
             // nothing; before it, the remaining job's own
@@ -228,11 +297,18 @@ impl JohnsonLowerBound {
             let (p1, p2) = (&data.pt_on(m1)[..n], &data.pt_on(m2)[..n]);
             for (&job, &lag) in order.iter().zip(lags) {
                 let job = usize::from(job);
-                let kept = keep[job];
-                t1 += p1[job] & kept;
-                t2 = t2.max(t1 + (lag & kept)) + (p2[job] & kept);
+                let (kept, p1, p2) = (&keep[job], p1[job], p2[job]);
+                for l in 0..L {
+                    t1[l] += p1 & kept[l];
+                    t2[l] = t2[l].max(t1[l] + (lag & kept[l])) + (p2 & kept[l]);
+                }
             }
-            lb = lb.max(t2 + min_tail[m2]);
+            for l in 0..L {
+                lb[l] = lb[l].max(t2[l] + min_tail[m2][l]);
+            }
+        }
+        for lane in (0..L).filter(|&lane| complete[lane]) {
+            lb[lane] = front[m - 1][lane];
         }
         lb
     }

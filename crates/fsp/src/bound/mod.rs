@@ -23,22 +23,43 @@ use std::cell::RefCell;
 ///
 /// Every bound evaluation needs the per-machine minima (heads/tails, and the
 /// remaining load for [`lb1::OneMachineBound`]) over the unscheduled jobs,
-/// and the Johnson bound a per-job keep mask.
+/// and the Johnson bound a per-job keep mask. The Johnson bound evaluates up
+/// to [`JohnsonLowerBound::LANES`](johnson_lb::JohnsonLowerBound::LANES)
+/// nodes at once, one per lane, so its buffers hold one value per lane: the
+/// keep mask `n × lanes` (6.4 KB at 200×20 with eight lanes), the front and
+/// the head/tail minima `m × lanes`.
 /// Allocating them per call dominates the cost of bounding small batches, so
 /// callers that bound many sub-problems — the off-load engine's fast-forward
-/// path, the serial solver — hold one `BoundScratch` and pass it to the
+/// path, the sequential backend — hold one `BoundScratch` and pass it to the
 /// `*_with` bound entry points. The buffers are (re)sized and reset on every
-/// use, so one scratch can serve instances of different machine counts; the
-/// convenience entry points without an explicit scratch fall back to a
-/// thread-local one and stay allocation-free after the first call.
+/// use, so one scratch can serve instances of different sizes and any lane
+/// count; the convenience entry points without an explicit scratch fall back
+/// to a thread-local one and stay allocation-free after the first call.
 #[derive(Debug, Default)]
 pub struct BoundScratch {
     pub(crate) min_head: Vec<Time>,
     pub(crate) min_tail: Vec<Time>,
     pub(crate) load: Vec<Time>,
-    /// Per job: `Time::MAX` if it remains unscheduled, `0` if it is
-    /// scheduled (the Johnson bound's branch-free mask).
+    /// Per job and lane: `Time::MAX` if the job remains unscheduled in that
+    /// lane's node, `0` if it is scheduled (the Johnson bound's branch-free
+    /// mask).
     pub(crate) keep: Vec<Time>,
+    /// Per machine and lane: the front of that lane's node.
+    pub(crate) front: Vec<Time>,
+}
+
+/// The Johnson bound's per-lane working arrays for one block of `L` nodes,
+/// borrowed from a [`BoundScratch`].
+pub(crate) struct Lanes<'a, const L: usize> {
+    /// Per job (`n` rows): the keep mask; its contents are for the caller to
+    /// overwrite.
+    pub keep: &'a mut [[Time; L]],
+    /// Per machine (`m` rows): the fronts; for the caller to overwrite.
+    pub front: &'a mut [[Time; L]],
+    /// Per machine: the head minima, reset to `Time::MAX`.
+    pub min_head: &'a mut [[Time; L]],
+    /// Per machine: the tail minima, reset to `Time::MAX`.
+    pub min_tail: &'a mut [[Time; L]],
 }
 
 impl BoundScratch {
@@ -47,18 +68,19 @@ impl BoundScratch {
         Self::default()
     }
 
-    /// The keep mask sized for `n` jobs (its contents are for the caller to
-    /// overwrite), plus the head/tail minima buffers sized for `m` machines
-    /// and reset to `Time::MAX`.
-    pub(crate) fn keep_heads_tails(
-        &mut self,
-        n: usize,
-        m: usize,
-    ) -> (&mut [Time], &mut [Time], &mut [Time]) {
-        self.keep.resize(n, 0);
-        reset(&mut self.min_head, m, Time::MAX);
-        reset(&mut self.min_tail, m, Time::MAX);
-        (&mut self.keep, &mut self.min_head, &mut self.min_tail)
+    /// The per-lane buffers for a block of `L` nodes of an `n × m`
+    /// instance.
+    pub(crate) fn lanes<const L: usize>(&mut self, n: usize, m: usize) -> Lanes<'_, L> {
+        self.keep.resize(n * L, 0);
+        self.front.resize(m * L, 0);
+        reset(&mut self.min_head, m * L, Time::MAX);
+        reset(&mut self.min_tail, m * L, Time::MAX);
+        Lanes {
+            keep: self.keep.as_chunks_mut().0,
+            front: self.front.as_chunks_mut().0,
+            min_head: self.min_head.as_chunks_mut().0,
+            min_tail: self.min_tail.as_chunks_mut().0,
+        }
     }
 
     /// The head/tail minima buffers sized for `m` machines and reset to
@@ -72,17 +94,18 @@ impl BoundScratch {
     }
 }
 
-fn reset(buf: &mut Vec<Time>, m: usize, value: Time) {
+fn reset(buf: &mut Vec<Time>, len: usize, value: Time) {
     buf.clear();
-    buf.resize(m, value);
+    buf.resize(len, value);
 }
 
 thread_local! {
     static THREAD_SCRATCH: RefCell<BoundScratch> = RefCell::new(BoundScratch::new());
 }
 
-/// Runs `f` with the thread-local scratch (fresh fallback if re-entered).
-pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut BoundScratch) -> R) -> R {
+/// Runs `f` with this thread's [`BoundScratch`] (a fresh one if re-entered):
+/// the scratch behind the bound entry points that take none.
+pub fn with_thread_scratch<R>(f: impl FnOnce(&mut BoundScratch) -> R) -> R {
     THREAD_SCRATCH.with(|cell| match cell.try_borrow_mut() {
         Ok(mut scratch) => f(&mut scratch),
         Err(_) => f(&mut BoundScratch::new()),

@@ -4,22 +4,33 @@
 //! n = 1; empty, one-remaining and complete prefixes), on fronts that are not
 //! completion times of any prefix, and with one `BoundScratch` reused across
 //! instances of different sizes.
+//!
+//! The batch entry point, `bound_batch_with`, bounds its nodes
+//! `JohnsonLowerBound::LANES` at a time, one per lane, and must match the
+//! reference node for node: for batch lengths around the lane count (a
+//! short last block is padded), for blocks that mix complete prefixes with
+//! live ones, and on arbitrary fronts.
 
 use fsp::bound::LowerBound;
 use fsp::taillard::generate;
 use fsp::{BoundScratch, Instance, JohnsonLowerBound, PartialSchedule, Time};
 use proptest::prelude::*;
 
-/// Deterministic permutation of `0..n` from `seed` (splitmix64 + Fisher–Yates).
-fn shuffled(n: usize, seed: u64) -> Vec<usize> {
+/// A splitmix64 stream.
+fn splitmix(seed: u64) -> impl FnMut() -> u64 {
     let mut state = seed;
-    let mut next = move || {
+    move || {
         state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
-    };
+    }
+}
+
+/// Deterministic permutation of `0..n` from `seed` (splitmix64 + Fisher–Yates).
+fn shuffled(n: usize, seed: u64) -> Vec<usize> {
+    let mut next = splitmix(seed);
     let mut perm: Vec<usize> = (0..n).collect();
     for i in (1..n).rev() {
         perm.swap(i, (next() % (i as u64 + 1)) as usize);
@@ -158,5 +169,157 @@ fn fast_bound_equals_the_reference_at_200x20() {
         check_every_depth(&inst, &mut scratch, seed as u64);
         // Back to a small instance with the scratch a 200x20 bound sized.
         check_every_depth(&small, &mut scratch, seed as u64);
+    }
+}
+
+/// One sub-problem of a batch: a front and a scheduled set.
+struct Sub {
+    front: Vec<Time>,
+    scheduled: Vec<bool>,
+}
+
+impl Sub {
+    fn of_prefix(inst: &Instance, prefix: &[usize]) -> Self {
+        let mut scheduled = vec![false; inst.jobs()];
+        for &job in prefix {
+            scheduled[job] = true;
+        }
+        let front = PartialSchedule::from_prefix(inst, prefix).front().to_vec();
+        Self { front, scheduled }
+    }
+}
+
+/// Bounds `subs` through the batch entry point, appending to a non-empty
+/// buffer, and checks every bound against the reference.
+fn check_batch(lb: &JohnsonLowerBound, scratch: &mut BoundScratch, subs: &[Sub]) {
+    let sentinel = Time::MAX - 7;
+    let mut out = vec![sentinel];
+    lb.bound_batch_with(
+        scratch,
+        subs,
+        |sub: &Sub| sub.front.as_slice(),
+        |sub: &Sub, job| sub.scheduled[job],
+        &mut out,
+    );
+    let reference: Vec<Time> = subs
+        .iter()
+        .map(|sub| lb.bound_prefix_counted(&sub.front, &sub.scheduled).0)
+        .collect();
+    assert_eq!(out[0], sentinel, "the batch must append, not overwrite");
+    assert_eq!(
+        out[1..],
+        reference[..],
+        "batch of {} != reference",
+        subs.len()
+    );
+}
+
+/// The batch lengths around the lane count: empty, one, a short block, a
+/// full block, a full block plus one, two full blocks plus one.
+fn batch_lengths() -> [usize; 6] {
+    let lanes = JohnsonLowerBound::LANES;
+    [0, 1, lanes - 1, lanes, lanes + 1, 2 * lanes + 1]
+}
+
+/// `len` random sub-problems of `inst`: empty, complete and partial
+/// prefixes of random orders, each with its real front or, with
+/// `arbitrary_fronts`, sometimes with a random one that need not rise from
+/// machine to machine.
+fn random_subs(inst: &Instance, len: usize, seed: u64, arbitrary_fronts: bool) -> Vec<Sub> {
+    let (n, m) = (inst.jobs(), inst.machines());
+    let mut next = splitmix(seed);
+    (0..len)
+        .map(|_| {
+            let order = shuffled(n, next());
+            let depth = match next() % 4 {
+                0 => 0,
+                1 => n,
+                _ => (next() % (n as u64 + 1)) as usize,
+            };
+            let mut sub = Sub::of_prefix(inst, &order[..depth]);
+            if arbitrary_fronts && next().is_multiple_of(2) {
+                let scale = if next().is_multiple_of(2) { 1 } else { 40 };
+                sub.front = (0..m).map(|_| (next() % 400) as Time / scale).collect();
+            }
+            sub
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn batch_equals_the_reference_node_for_node(
+        (n, m, seed) in (1usize..=14, 2usize..=8, 1i64..1_000_000),
+        (n2, m2, seed2) in (1usize..=14, 2usize..=8, 1i64..1_000_000),
+        subs_seed in any::<u64>(),
+        extra_len in 0usize..40,
+    ) {
+        // One scratch, interleaved across two instances of (usually)
+        // different sizes and across every batch length.
+        let mut scratch = BoundScratch::new();
+        let a = generate("batch-a", n, m, seed);
+        let b = generate("batch-b", n2, m2, seed2);
+        let (lb_a, lb_b) = (JohnsonLowerBound::new(&a), JohnsonLowerBound::new(&b));
+        for (i, len) in batch_lengths().into_iter().chain([extra_len]).enumerate() {
+            let seed = subs_seed ^ i as u64;
+            check_batch(&lb_a, &mut scratch, &random_subs(&a, len, seed, true));
+            check_batch(&lb_b, &mut scratch, &random_subs(&b, len, seed ^ 1, true));
+        }
+    }
+}
+
+#[test]
+fn batch_lanes_mix_complete_and_live_prefixes() {
+    let inst = generate("batch-mix", 9, 5, 77);
+    let lb = JohnsonLowerBound::new(&inst);
+    let mut scratch = BoundScratch::new();
+    let order = shuffled(9, 5);
+    // Every depth, so each block holds complete, one-remaining and empty
+    // prefixes next to each other, in both orders.
+    let mut subs: Vec<Sub> = (0..=9)
+        .map(|d| Sub::of_prefix(&inst, &order[..d]))
+        .collect();
+    check_batch(&lb, &mut scratch, &subs);
+    subs.reverse();
+    check_batch(&lb, &mut scratch, &subs);
+    // A complete prefix alone in a block, in the padded last lane, and in a
+    // block of complete prefixes only.
+    for len in batch_lengths() {
+        let mut subs: Vec<Sub> = (0..len)
+            .map(|i| Sub::of_prefix(&inst, &order[..i % 3]))
+            .collect();
+        subs.push(Sub::of_prefix(&inst, &order));
+        check_batch(&lb, &mut scratch, &subs);
+        let complete: Vec<Sub> = (0..len)
+            .map(|i| Sub::of_prefix(&inst, &shuffled(9, i as u64)))
+            .collect();
+        check_batch(&lb, &mut scratch, &complete);
+    }
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "bounds batches of 200x20 nodes; run in release (CI paper-shapes job)"
+)]
+fn batch_equals_the_reference_at_200x20() {
+    let mut scratch = BoundScratch::new();
+    let small = generate("batch-small", 7, 4, 19);
+    let lb_small = JohnsonLowerBound::new(&small);
+    for seed in [1i64, 2012] {
+        let inst = generate("batch-200x20", 200, 20, seed);
+        let lb = JohnsonLowerBound::new(&inst);
+        for len in batch_lengths().into_iter().chain([64]) {
+            check_batch(
+                &lb,
+                &mut scratch,
+                &random_subs(&inst, len, seed as u64, false),
+            );
+            // Back to a small instance with the scratch a 200x20 batch sized.
+            let subs = random_subs(&small, len, seed as u64, true);
+            check_batch(&lb_small, &mut scratch, &subs);
+        }
     }
 }

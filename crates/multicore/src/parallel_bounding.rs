@@ -80,7 +80,9 @@ impl ParallelBoundingPool {
             return Vec::new();
         }
         if self.threads() == 1 || batch.len() == 1 {
-            return batch.iter().map(|n| bound.bound_node(n)).collect();
+            let mut results = Vec::with_capacity(batch.len());
+            bound.bound_nodes(batch, &mut results);
+            return results;
         }
 
         let chunk = batch.len().div_ceil(self.threads());
@@ -95,9 +97,9 @@ impl ParallelBoundingPool {
         {
             let done = done_tx.clone();
             let task = move || {
-                for (node, slot) in nodes.iter().zip(out.iter_mut()) {
-                    *slot = bound.bound_node(node);
-                }
+                let mut bounds = Vec::with_capacity(nodes.len());
+                bound.bound_nodes(nodes, &mut bounds);
+                out.copy_from_slice(&bounds);
                 let _ = done.send(());
             };
             // SAFETY: the closure borrows `batch`, `bound` and a disjoint
