@@ -35,12 +35,15 @@
 use bb::{frozen_pool, FrozenPool, FspProblem, SerialSolver, SolverConfig};
 use fsp::taillard;
 use gpu_bnb::cost::{CostTable, COST_COUNTERS};
+use gpu_bnb::json::{self, Json};
 use gpu_bnb::{
     BackendKind, CacheDisposition, CostReport, DataPlacement, FleetTopology, GpuBnbSolver,
-    GpuSolverConfig, JobSpec, ServiceConfig, SolveLatencies, SolveRequest, SolveService,
+    GpuRunStats, GpuSolverConfig, JobSpec, ServiceConfig, SolveCheckpoint, SolveLatencies,
+    SolveRequest, SolveService,
 };
 use std::fmt::Write as _;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 /// How the instance is bounded.
@@ -118,6 +121,39 @@ struct RunMetrics {
     latencies: SolveLatencies,
 }
 
+impl RunMetrics {
+    /// The metrics of a run on a bounding backend. Its bounding share is
+    /// the kernel's share of the modelled device time (the rest is PCIe
+    /// transfer): the device-side analogue of the serial solver's.
+    fn from_backend(
+        nodes_bounded: u64,
+        gpu: &GpuRunStats,
+        makespan: u32,
+        optimal: bool,
+        cost: CostReport,
+        latencies: SolveLatencies,
+    ) -> Self {
+        let device = gpu.kernel_time + gpu.transfer_time;
+        let bounding_share = if device.is_zero() {
+            0.0
+        } else {
+            gpu.kernel_time.as_secs_f64() / device.as_secs_f64()
+        };
+        Self {
+            nodes_bounded,
+            elapsed: gpu.wall_time,
+            bounding_share,
+            makespan,
+            optimal,
+            kernel_seconds: gpu.kernel_time.as_secs_f64(),
+            transfer_seconds: gpu.transfer_time.as_secs_f64(),
+            device_seconds: gpu.device_schedule_time().as_secs_f64(),
+            cost,
+            latencies,
+        }
+    }
+}
+
 /// Everything one run reports — serialised as one JSON row.
 struct Report {
     instance: String,
@@ -139,27 +175,17 @@ struct Report {
     metrics: RunMetrics,
 }
 
-/// Escapes a string for embedding in a JSON string literal (instance labels
-/// can be user-supplied file paths).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+impl Report {
+    /// The key the gates match this row to its baseline row by.
+    fn key(&self) -> RowKey {
+        RowKey {
+            backend: self.mode.backend_name().to_string(),
+            devices: self.mode.devices(),
+            lookahead: self.lookahead,
+            job: self.job,
         }
     }
-    out
-}
 
-impl Report {
     fn nodes_per_sec(&self) -> f64 {
         self.metrics.nodes_bounded as f64 / self.metrics.elapsed.as_secs_f64().max(1e-9)
     }
@@ -186,7 +212,7 @@ impl Report {
         let _ = writeln!(
             out,
             "{indent}  \"instance\": \"{}\",",
-            json_escape(&self.instance)
+            json::escape(&self.instance)
         );
         let _ = writeln!(out, "{indent}  \"jobs\": {},", self.jobs);
         let _ = writeln!(out, "{indent}  \"machines\": {},", self.machines);
@@ -425,44 +451,39 @@ const SMOKE_ROWS: [(BackendKind, bool); 5] = [
 ];
 
 fn parse_args() -> Result<Options, String> {
+    /// The value after `flag` (at `args[*i]`), parsed as a `T`.
+    fn parsed<T: FromStr>(args: &[String], i: &mut usize, flag: &str) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        *i += 1;
+        let text = args
+            .get(*i)
+            .ok_or_else(|| format!("{flag} needs a value"))?;
+        text.parse().map_err(|e| format!("{flag} `{text}`: {e}"))
+    }
     let mut opts = Options::default();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     // `--jobs` is overloaded: the generated instance's job count normally,
     // the concurrent-job count under `--service` (whose workload is frozen).
     let mut jobs_flag: Option<usize> = None;
-    let value = |args: &[String], i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
     while i < args.len() {
         let flag = args[i].as_str();
         match flag {
             "--smoke" => apply_smoke_preset(&mut opts),
             "--service" => opts.service = true,
             "--warm-start" => opts.warm_start = true,
-            "--file" => opts.file = Some(value(&args, &mut i, flag)?),
+            "--file" => opts.file = Some(parsed(&args, &mut i, flag)?),
             "--jobs" => {
-                let jobs = value(&args, &mut i, flag)?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?;
+                let jobs = parsed(&args, &mut i, flag)?;
                 opts.jobs = jobs;
                 jobs_flag = Some(jobs);
             }
-            "--machines" => {
-                opts.machines = value(&args, &mut i, flag)?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
-            }
-            "--seed" => {
-                opts.seed = value(&args, &mut i, flag)?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
-            }
+            "--machines" => opts.machines = parsed(&args, &mut i, flag)?,
+            "--seed" => opts.seed = parsed(&args, &mut i, flag)?,
             "--mode" => {
-                opts.mode = match value(&args, &mut i, flag)?.as_str() {
+                opts.mode = match parsed::<String>(&args, &mut i, flag)?.as_str() {
                     "serial" => Mode::Serial,
                     "gpu" => Mode::Backend(BackendKind::Gpu),
                     "gpu-fast" => Mode::BackendFast(BackendKind::Gpu),
@@ -470,82 +491,45 @@ fn parse_args() -> Result<Options, String> {
                 }
             }
             "--backend" => {
-                let kind: BackendKind = value(&args, &mut i, flag)?.parse()?;
+                let kind: BackendKind = parsed(&args, &mut i, flag)?;
                 opts.mode = opts.mode.with_backend(kind);
             }
             "--lookahead" => opts.lookahead = true,
             "--autotune" => opts.autotune = true,
             "--hetero" => opts.hetero = true,
             "--fleet-weights" => {
-                let weights: Result<Vec<f64>, _> = value(&args, &mut i, flag)?
+                let weights: Result<Vec<f64>, _> = parsed::<String>(&args, &mut i, flag)?
                     .split(',')
                     .map(|w| w.trim().parse::<f64>())
                     .collect();
                 opts.fleet_weights = Some(weights.map_err(|e| format!("{e}"))?);
             }
-            "--devices" => {
-                opts.devices = Some(
-                    value(&args, &mut i, flag)?
-                        .parse()
-                        .map_err(|e| format!("{e}"))?,
-                )
-            }
-            "--pipeline-chunk" => {
-                opts.pipeline_chunk = Some(
-                    value(&args, &mut i, flag)?
-                        .parse()
-                        .map_err(|e| format!("{e}"))?,
-                )
-            }
-            "--pool-size" => {
-                opts.pool_size = value(&args, &mut i, flag)?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
-            }
-            "--node-limit" => {
-                opts.node_limit = Some(
-                    value(&args, &mut i, flag)?
-                        .parse()
-                        .map_err(|e| format!("{e}"))?,
-                )
-            }
-            "--frozen" => {
-                opts.frozen = Some(
-                    value(&args, &mut i, flag)?
-                        .parse()
-                        .map_err(|e| format!("{e}"))?,
-                )
-            }
-            "--reps" => {
-                opts.reps = value(&args, &mut i, flag)?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
-            }
-            "--fail-seed" => {
-                opts.fail_seed = Some(
-                    value(&args, &mut i, flag)?
-                        .parse()
-                        .map_err(|e| format!("{e}"))?,
-                )
-            }
+            "--devices" => opts.devices = Some(parsed(&args, &mut i, flag)?),
+            "--pipeline-chunk" => opts.pipeline_chunk = Some(parsed(&args, &mut i, flag)?),
+            "--pool-size" => opts.pool_size = parsed(&args, &mut i, flag)?,
+            "--node-limit" => opts.node_limit = Some(parsed(&args, &mut i, flag)?),
+            "--frozen" => opts.frozen = Some(parsed(&args, &mut i, flag)?),
+            "--reps" => opts.reps = parsed(&args, &mut i, flag)?,
+            "--fail-seed" => opts.fail_seed = Some(parsed(&args, &mut i, flag)?),
             "--fail-at" => {
-                let events: Result<Vec<(u64, usize)>, String> = value(&args, &mut i, flag)?
-                    .split(',')
-                    .map(|pair| {
-                        let pair = pair.trim();
-                        let (batch, member) = pair
-                            .split_once(':')
-                            .ok_or_else(|| format!("--fail-at event `{pair}` is not B:M"))?;
-                        Ok((
-                            batch.parse().map_err(|e| format!("{e}"))?,
-                            member.parse().map_err(|e| format!("{e}"))?,
-                        ))
-                    })
-                    .collect();
+                let events: Result<Vec<(u64, usize)>, String> =
+                    parsed::<String>(&args, &mut i, flag)?
+                        .split(',')
+                        .map(|pair| {
+                            let pair = pair.trim();
+                            let (batch, member) = pair
+                                .split_once(':')
+                                .ok_or_else(|| format!("--fail-at event `{pair}` is not B:M"))?;
+                            Ok((
+                                batch.parse().map_err(|e| format!("{e}"))?,
+                                member.parse().map_err(|e| format!("{e}"))?,
+                            ))
+                        })
+                        .collect();
                 opts.fail_at = events?;
             }
             "--checkpoint" => {
-                let spec = value(&args, &mut i, flag)?;
+                let spec = parsed::<String>(&args, &mut i, flag)?;
                 let (batches, path) = spec
                     .split_once(':')
                     .ok_or_else(|| format!("--checkpoint `{spec}` is not BATCHES:PATH"))?;
@@ -554,10 +538,10 @@ fn parse_args() -> Result<Options, String> {
                     path.to_string(),
                 ));
             }
-            "--resume" => opts.resume = Some(value(&args, &mut i, flag)?),
+            "--resume" => opts.resume = Some(parsed(&args, &mut i, flag)?),
             "--cache" => opts.cache = true,
             "--perturb" => {
-                let spec = value(&args, &mut i, flag)?;
+                let spec = parsed::<String>(&args, &mut i, flag)?;
                 let (seed, edits) = spec
                     .split_once(':')
                     .ok_or_else(|| format!("--perturb `{spec}` is not SEED:EDITS"))?;
@@ -566,17 +550,13 @@ fn parse_args() -> Result<Options, String> {
                     edits.parse().map_err(|e| format!("{e}"))?,
                 ));
             }
-            "--json" => opts.json = Some(value(&args, &mut i, flag)?),
-            "--baseline" => opts.baseline = Some(value(&args, &mut i, flag)?),
-            "--cost-baseline" => opts.cost_baseline = Some(value(&args, &mut i, flag)?),
-            "--emit-cost-baseline" => opts.emit_cost_baseline = Some(value(&args, &mut i, flag)?),
+            "--json" => opts.json = Some(parsed(&args, &mut i, flag)?),
+            "--baseline" => opts.baseline = Some(parsed(&args, &mut i, flag)?),
+            "--cost-baseline" => opts.cost_baseline = Some(parsed(&args, &mut i, flag)?),
+            "--emit-cost-baseline" => opts.emit_cost_baseline = Some(parsed(&args, &mut i, flag)?),
             "--advisory" => opts.advisory = true,
-            "--summary" => opts.summary = Some(value(&args, &mut i, flag)?),
-            "--max-regression" => {
-                opts.max_regression = value(&args, &mut i, flag)?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
-            }
+            "--summary" => opts.summary = Some(parsed(&args, &mut i, flag)?),
+            "--max-regression" => opts.max_regression = parsed(&args, &mut i, flag)?,
             "--help" | "-h" => {
                 println!(
                     "solve_taillard — solve a Taillard FSP instance and emit a JSON perf report\n\n\
@@ -838,7 +818,7 @@ fn run_once(
     lookahead: bool,
     problem: &FspProblem,
     frozen: Option<&FrozenPool>,
-    resume: Option<&gpu_bnb::SolveCheckpoint>,
+    resume: Option<&SolveCheckpoint>,
 ) -> RunMetrics {
     let frozen = frozen.cloned();
     match mode {
@@ -915,27 +895,14 @@ fn run_once(
                     ),
                 }
             }
-            // Share of the modelled device schedule spent in the kernel (the
-            // rest is PCIe transfer) — the device-side analogue of the
-            // serial solver's bounding share.
-            let device = outcome.gpu.kernel_time + outcome.gpu.transfer_time;
-            let share = if device.is_zero() {
-                0.0
-            } else {
-                outcome.gpu.kernel_time.as_secs_f64() / device.as_secs_f64()
-            };
-            RunMetrics {
-                nodes_bounded: outcome.stats.bounded,
-                elapsed: outcome.gpu.wall_time,
-                bounding_share: share,
-                makespan: outcome.best_makespan,
-                optimal: outcome.is_optimal(),
-                kernel_seconds: outcome.gpu.kernel_time.as_secs_f64(),
-                transfer_seconds: outcome.gpu.transfer_time.as_secs_f64(),
-                device_seconds: outcome.gpu.device_schedule_time().as_secs_f64(),
-                cost: outcome.cost,
-                latencies: outcome.latencies,
-            }
+            RunMetrics::from_backend(
+                outcome.stats.bounded,
+                &outcome.gpu,
+                outcome.best_makespan,
+                outcome.is_optimal(),
+                outcome.cost,
+                outcome.latencies,
+            )
         }
     }
 }
@@ -947,7 +914,7 @@ fn run_best_of(
     lookahead: bool,
     problem: &FspProblem,
     frozen: Option<&FrozenPool>,
-    resume: Option<&gpu_bnb::SolveCheckpoint>,
+    resume: Option<&SolveCheckpoint>,
 ) -> RunMetrics {
     let mut best: Option<RunMetrics> = None;
     for _ in 0..opts.reps {
@@ -1015,12 +982,6 @@ fn run_service(
         .enumerate()
         .map(|(k, handle)| {
             let outcome = handle.outcome().expect("service drained every job");
-            let device = outcome.gpu.kernel_time + outcome.gpu.transfer_time;
-            let share = if device.is_zero() {
-                0.0
-            } else {
-                outcome.gpu.kernel_time.as_secs_f64() / device.as_secs_f64()
-            };
             Report {
                 instance: label.to_string(),
                 jobs: inst.jobs(),
@@ -1036,18 +997,14 @@ fn run_service(
                 ),
                 pool_size: opts.pool_size,
                 reps: 1,
-                metrics: RunMetrics {
-                    nodes_bounded: outcome.stats.bounded,
-                    elapsed: outcome.gpu.wall_time,
-                    bounding_share: share,
-                    makespan: outcome.best_makespan,
-                    optimal: outcome.is_optimal(),
-                    kernel_seconds: outcome.gpu.kernel_time.as_secs_f64(),
-                    transfer_seconds: outcome.gpu.transfer_time.as_secs_f64(),
-                    device_seconds: outcome.gpu.device_schedule_time().as_secs_f64(),
-                    cost: outcome.cost,
-                    latencies: outcome.latencies,
-                },
+                metrics: RunMetrics::from_backend(
+                    outcome.stats.bounded,
+                    &outcome.gpu,
+                    outcome.best_makespan,
+                    outcome.is_optimal(),
+                    outcome.cost,
+                    outcome.latencies,
+                ),
             }
         })
         .collect();
@@ -1146,16 +1103,10 @@ fn run_cache(opts: &Options, inst: &fsp::Instance, label: &str) -> Vec<Report> {
                 ),
                 _ => {}
             }
-            let (gpu, stats_bounded, elapsed) = match &outcome.job {
-                Some(job) => (job.gpu, job.stats.bounded, job.gpu.wall_time),
+            let (gpu, stats_bounded) = match &outcome.job {
+                Some(job) => (job.gpu, job.stats.bounded),
                 // An exact hit runs nothing: zero device work by design.
-                None => (Default::default(), 0, Duration::ZERO),
-            };
-            let device = gpu.kernel_time + gpu.transfer_time;
-            let share = if device.is_zero() {
-                0.0
-            } else {
-                gpu.kernel_time.as_secs_f64() / device.as_secs_f64()
+                None => (Default::default(), 0),
             };
             Report {
                 instance: label.to_string(),
@@ -1167,182 +1118,160 @@ fn run_cache(opts: &Options, inst: &fsp::Instance, label: &str) -> Vec<Report> {
                 fleet_weights: None,
                 pool_size: opts.pool_size,
                 reps: 1,
-                metrics: RunMetrics {
-                    nodes_bounded: stats_bounded,
-                    elapsed,
-                    bounding_share: share,
-                    makespan: outcome.certificate.best_makespan,
-                    optimal: outcome.certificate.is_optimal(),
-                    kernel_seconds: gpu.kernel_time.as_secs_f64(),
-                    transfer_seconds: gpu.transfer_time.as_secs_f64(),
-                    device_seconds: gpu.device_schedule_time().as_secs_f64(),
-                    cost: outcome.request_cost,
-                    latencies: outcome.job.map(|j| j.latencies).unwrap_or_default(),
-                },
+                metrics: RunMetrics::from_backend(
+                    stats_bounded,
+                    &gpu,
+                    outcome.certificate.best_makespan,
+                    outcome.certificate.is_optimal(),
+                    outcome.request_cost,
+                    outcome.job.map(|j| j.latencies).unwrap_or_default(),
+                ),
             }
         })
         .collect()
 }
 
-/// One `nodes_per_sec` figure of a baseline report, keyed by the backend
-/// name, device count, lookahead flag and (for service rows) job index of
-/// its row.
-struct BaselineRow {
+/// The `(backend, devices, lookahead, job)` key a gate matches a report
+/// row to its baseline row by (`job` is set on service and cache rows only).
+#[derive(Debug, Clone, PartialEq)]
+struct RowKey {
     backend: String,
     devices: usize,
     lookahead: bool,
     job: Option<usize>,
+}
+
+impl RowKey {
+    /// Reads the key fields of one row object; an absent `lookahead` reads
+    /// as `false` and an absent `job` as `None`.
+    fn from_json(row: &[(String, Json)]) -> Result<Self, String> {
+        Ok(Self {
+            backend: json::get(row, "backend")?.as_str("backend")?.to_string(),
+            devices: json::get(row, "devices")?.as_int("devices")?,
+            lookahead: json::get_opt(row, "lookahead")
+                .map_or(Ok(false), |v| v.as_bool("lookahead"))?,
+            job: json::get_opt(row, "job")
+                .map(|v| v.as_int("job"))
+                .transpose()?,
+        })
+    }
+}
+
+/// One `nodes_per_sec` figure of a wall-clock baseline (a perf report).
+struct BaselineRow {
+    key: RowKey,
     nodes_per_sec: f64,
 }
 
-/// The `(backend, devices, lookahead, job)` key of the row a byte offset
-/// falls in, read from the fields that precede it in a report written by
-/// this binary — shared by the wall-clock and cost baseline parsers. In the
-/// v1 single-object schema without a `backend` field the backend is `""`;
-/// pre-v3 rows without a `lookahead` field parse as `false`; pre-v4 rows
-/// without a `devices` field parse as 1; pre-v6 rows without a `job` field
-/// parse as `None`.
-fn row_key_before(text: &str, at: usize) -> (String, usize, bool, Option<usize>) {
-    let backend_key = "\"backend\":";
-    let devices_key = "\"devices\":";
-    let lookahead_key = "\"lookahead\":";
-    let job_key = "\"job\":";
-    let backend_at = text[..at].rfind(backend_key);
-    let backend = backend_at
-        .map(|b| {
-            let rest = text[b + backend_key.len()..].trim_start();
-            rest.trim_start_matches('"')
-                .chars()
-                .take_while(|c| *c != '"')
-                .collect::<String>()
-        })
-        .unwrap_or_default();
-    let devices = text[..at]
-        .rfind(devices_key)
-        .and_then(|b| {
-            let rest = text[b + devices_key.len()..].trim_start();
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..end].parse::<usize>().ok()
-        })
-        .unwrap_or(1);
-    let lookahead = text[..at]
-        .rfind(lookahead_key)
-        .map(|b| {
-            text[b + lookahead_key.len()..]
-                .trim_start()
-                .starts_with("true")
-        })
-        .unwrap_or(false);
-    // `job` is optional per row, so a bare rfind could bleed a *previous*
-    // row's key into a row that lacks one: only accept a `"job":` that sits
-    // after this row's `"backend":` key.
-    let job = text[..at].rfind(job_key).and_then(|j| {
-        if backend_at.is_none_or(|b| j < b) {
-            return None;
-        }
-        let rest = text[j + job_key.len()..].trim_start();
-        let end = rest
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap_or(rest.len());
-        rest[..end].parse::<usize>().ok()
-    });
-    (backend, devices, lookahead, job)
-}
-
-/// Pulls the gate rows out of a report previously written by this binary (a
-/// full JSON parser is not warranted for our own format).
-fn baseline_rows(text: &str) -> Vec<BaselineRow> {
-    let nps_key = "\"nodes_per_sec\":";
-    let mut rows = Vec::new();
-    let mut search_from = 0;
-    while let Some(rel) = text[search_from..].find(nps_key) {
-        let nps_at = search_from + rel;
-        // The backend name, device count, lookahead flag and job index, when
-        // present, precede nodes_per_sec in their row.
-        let (backend, devices, lookahead, job) = row_key_before(text, nps_at);
-        let rest = text[nps_at + nps_key.len()..].trim_start();
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-            .unwrap_or(rest.len());
-        if let Ok(value) = rest[..end].parse::<f64>() {
-            rows.push(BaselineRow {
-                backend,
-                devices,
-                lookahead,
-                job,
-                nodes_per_sec: value,
-            });
-        }
-        search_from = nps_at + nps_key.len();
-    }
-    rows
-}
-
-/// One [`CostReport`] of a cost baseline (or of a v5 perf report — the
-/// parser accepts both), keyed like [`BaselineRow`].
+/// One [`CostReport`] of a cost baseline (or of a perf report whose rows
+/// carry all [`COST_COUNTERS`] counters).
 struct CostRow {
-    backend: String,
-    devices: usize,
-    lookahead: bool,
-    job: Option<usize>,
+    key: RowKey,
     cost: CostReport,
 }
 
-/// Pulls every `"cost": { ... }` block (a flat object of integer counters)
-/// out of a cost baseline, keyed by the row fields that precede it. Every
-/// block must carry all [`COST_COUNTERS`] counters.
-fn cost_rows(text: &str) -> Result<Vec<CostRow>, String> {
-    let cost_key = "\"cost\":";
-    let mut rows = Vec::new();
-    let mut search_from = 0;
-    while let Some(rel) = text[search_from..].find(cost_key) {
-        let at = search_from + rel;
-        let (backend, devices, lookahead, job) = row_key_before(text, at);
-        let after = &text[at + cost_key.len()..];
-        let open = after
-            .find('{')
-            .ok_or_else(|| format!("no object after \"cost\": in row `{backend}`"))?;
-        let close = after[open..]
-            .find('}')
-            .ok_or_else(|| format!("unterminated cost object in row `{backend}`"))?;
-        let body = &after[open + 1..open + close];
-        let mut cost = CostReport::default();
-        let mut seen = 0usize;
-        for pair in body.split(',') {
-            let pair = pair.trim();
-            if pair.is_empty() {
-                continue;
-            }
-            let (name, value) = pair
-                .split_once(':')
-                .ok_or_else(|| format!("malformed counter `{pair}` in row `{backend}`"))?;
-            let name = name.trim().trim_matches('"');
-            let value: u64 = value
-                .trim()
-                .parse()
-                .map_err(|_| format!("non-integer counter `{pair}` in row `{backend}`"))?;
-            if !cost.set_counter(name, value) {
-                return Err(format!("unknown cost counter `{name}` in row `{backend}`"));
-            }
-            seen += 1;
-        }
-        if seen != COST_COUNTERS {
-            return Err(format!(
-                "row `{backend}` has {seen} cost counters, expected {COST_COUNTERS}"
-            ));
-        }
-        rows.push(CostRow {
-            backend,
-            devices,
-            lookahead,
-            job,
-            cost,
-        });
-        search_from = at + cost_key.len() + open + close;
+// A gate row reads as its key, so one lookup serves both gates.
+impl std::ops::Deref for BaselineRow {
+    type Target = RowKey;
+    fn deref(&self) -> &RowKey {
+        &self.key
     }
-    Ok(rows)
+}
+
+impl std::ops::Deref for CostRow {
+    type Target = RowKey;
+    fn deref(&self) -> &RowKey {
+        &self.key
+    }
+}
+
+/// The baseline row with the same key as `report`, if any.
+fn row_for<'a, R: std::ops::Deref<Target = RowKey>>(
+    rows: &'a [R],
+    report: &Report,
+) -> Option<&'a R> {
+    let key = report.key();
+    rows.iter().find(|row| ***row == key)
+}
+
+/// Parses a report or baseline written by this binary and reads each row
+/// object — the `rows` array, or a single-run `…/v1` report's top-level
+/// object — with `read`, naming the row in any error.
+fn read_rows<T>(
+    text: &str,
+    read: impl Fn(&[(String, Json)]) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let doc = Json::parse(text)?;
+    let top = doc.as_object("report")?;
+    let rows = match json::get_opt(top, "rows") {
+        Some(rows) => rows
+            .as_array("rows")?
+            .iter()
+            .map(|r| r.as_object("row"))
+            .collect::<Result<_, _>>()?,
+        None => vec![top],
+    };
+    if rows.is_empty() {
+        return Err("no rows".to_string());
+    }
+    rows.into_iter()
+        .enumerate()
+        .map(|(i, row)| read(row).map_err(|e| format!("row {i}: {e}")))
+        .collect()
+}
+
+/// The wall-clock gate's rows of a perf report.
+fn baseline_rows(text: &str) -> Result<Vec<BaselineRow>, String> {
+    read_rows(text, |row| {
+        Ok(BaselineRow {
+            key: RowKey::from_json(row)?,
+            nodes_per_sec: json::get(row, "nodes_per_sec")?.as_f64("nodes_per_sec")?,
+        })
+    })
+}
+
+/// The cost gate's rows of a cost baseline: every row's `cost` object must
+/// carry each of the [`COST_COUNTERS`] counters exactly once.
+fn cost_rows(text: &str) -> Result<Vec<CostRow>, String> {
+    read_rows(text, |row| {
+        Ok(CostRow {
+            key: RowKey::from_json(row)?,
+            cost: CostReport::from_json(json::get(row, "cost")?)?,
+        })
+    })
+}
+
+/// The checkpoint to resume from and the cost and wall-clock baselines to
+/// gate against, read and checked before anything is solved: a malformed
+/// file fails the run at once.
+type Inputs = (
+    Option<SolveCheckpoint>,
+    Option<Vec<CostRow>>,
+    Option<Vec<BaselineRow>>,
+);
+
+fn read_inputs(opts: &Options, inst: &fsp::Instance) -> Result<Inputs, String> {
+    fn read<T>(
+        path: Option<&str>,
+        what: &str,
+        decode: impl FnOnce(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        let Some(path) = path else { return Ok(None) };
+        let text =
+            std::fs::read_to_string(path).map_err(|e| format!("cannot read {what} {path}: {e}"))?;
+        decode(&text)
+            .map(Some)
+            .map_err(|e| format!("invalid {what} {path}: {e}"))
+    }
+    Ok((
+        read(opts.resume.as_deref(), "checkpoint", |text| {
+            let checkpoint = SolveCheckpoint::from_json(text)?;
+            checkpoint.check(inst)?;
+            Ok(checkpoint)
+        })?,
+        read(opts.cost_baseline.as_deref(), "cost baseline", cost_rows)?,
+        read(opts.baseline.as_deref(), "baseline", baseline_rows)?,
+    ))
 }
 
 /// Serialises the deterministic cost counters of each row — and nothing
@@ -1415,6 +1344,20 @@ fn main() -> ExitCode {
 
     let jobs = inst.jobs();
     let machines = inst.machines();
+    let (resume, cost_baseline, baseline) = match read_inputs(&opts, &inst) {
+        Ok(inputs) => inputs,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            return ExitCode::FAILURE;
+        }
+    };
+    if let (Some(checkpoint), Some(path)) = (&resume, &opts.resume) {
+        eprintln!(
+            "resume: continuing from {path} — {} frontier nodes, {} batches done",
+            checkpoint.frontier.len(),
+            checkpoint.cost.batches,
+        );
+    }
 
     // Optional runtime tuning: sweep the pool size and the pipeline chunk
     // size on this instance (the paper's runtime procedure) and persist the
@@ -1464,42 +1407,6 @@ fn main() -> ExitCode {
     // replay perturbs per-request copies of it.
     let service_inst = opts.service.then(|| inst.clone());
     let cache_inst = opts.cache.then(|| inst.clone());
-
-    // A `--resume` run starts from a checkpoint file instead of a frozen
-    // pool; its frontier, incumbent and cost counters carry over.
-    let resume: Option<gpu_bnb::SolveCheckpoint> = match &opts.resume {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(text) => text,
-                Err(err) => {
-                    eprintln!("error: cannot read checkpoint {path}: {err}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let checkpoint = match gpu_bnb::SolveCheckpoint::from_json(&text) {
-                Ok(checkpoint) => checkpoint,
-                Err(msg) => {
-                    eprintln!("error: cannot parse checkpoint {path}: {msg}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if checkpoint.jobs != jobs || checkpoint.machines != machines {
-                eprintln!(
-                    "error: checkpoint {path} was written for a {}x{} instance, \
-                     not the requested {jobs}x{machines}",
-                    checkpoint.jobs, checkpoint.machines,
-                );
-                return ExitCode::FAILURE;
-            }
-            eprintln!(
-                "resume: continuing from {path} — {} frontier nodes, {} batches done",
-                checkpoint.frontier.len(),
-                checkpoint.cost.batches,
-            );
-            Some(checkpoint)
-        }
-        None => None,
-    };
 
     let problem = FspProblem::new(inst);
     // Freezing is deterministic and untimed setup — do it once, not per rep
@@ -1627,78 +1534,11 @@ fn main() -> ExitCode {
         eprintln!("cost baseline: wrote {} rows to {path}", reports.len());
     }
 
-    let cost_baseline = match &opts.cost_baseline {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(text) => text,
-                Err(err) => {
-                    eprintln!("error: cannot read cost baseline {path}: {err}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let rows = match cost_rows(&text) {
-                Ok(rows) if rows.is_empty() => {
-                    eprintln!("error: no cost rows in baseline {path}");
-                    return ExitCode::FAILURE;
-                }
-                Ok(rows) => rows,
-                Err(msg) => {
-                    eprintln!("error: cannot parse cost baseline {path}: {msg}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            Some(rows)
-        }
-        None => None,
-    };
-
     let cost_baseline_for = |report: &Report| -> Option<CostReport> {
-        cost_baseline.as_ref().and_then(|rows| {
-            rows.iter()
-                .find(|b| {
-                    b.backend == report.mode.backend_name()
-                        && b.devices == report.mode.devices()
-                        && b.lookahead == report.lookahead
-                        && b.job == report.job
-                })
-                .map(|b| b.cost)
-        })
+        row_for(cost_baseline.as_deref()?, report).map(|row| row.cost)
     };
-
-    let baseline = match &opts.baseline {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(text) => text,
-                Err(err) => {
-                    eprintln!("error: cannot read baseline {path}: {err}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let rows = baseline_rows(&text);
-            if rows.is_empty() {
-                eprintln!("error: no nodes_per_sec in baseline {path}");
-                return ExitCode::FAILURE;
-            }
-            Some(rows)
-        }
-        None => None,
-    };
-
-    // Match by backend name + device count + lookahead flag + job index; a
-    // v1 baseline without backend names gates its single figure against
-    // every row.
     let baseline_for = |report: &Report| -> Option<f64> {
-        baseline.as_ref().and_then(|rows| {
-            rows.iter()
-                .find(|b| {
-                    b.backend == report.mode.backend_name()
-                        && b.devices == report.mode.devices()
-                        && b.lookahead == report.lookahead
-                        && b.job == report.job
-                })
-                .or_else(|| rows.first().filter(|b| b.backend.is_empty()))
-                .map(|b| b.nodes_per_sec)
-        })
+        row_for(baseline.as_deref()?, report).map(|row| row.nodes_per_sec)
     };
 
     if let Some(path) = &opts.summary {
@@ -1737,12 +1577,8 @@ fn main() -> ExitCode {
                 "  {:<20} {:>16} {:>16} {:>14}",
                 "counter", "baseline", "current", "delta"
             );
-            for ((cname, cur), (_, base_v)) in current.counters().iter().zip(base.counters().iter())
-            {
-                if cur != base_v {
-                    let delta = *cur as i128 - *base_v as i128;
-                    eprintln!("  {cname:<20} {base_v:>16} {cur:>16} {delta:>+14}");
-                }
+            for (cname, base_v, cur, delta) in drift(&current, &base) {
+                eprintln!("  {cname:<20} {base_v:>16} {cur:>16} {delta:>+14}");
             }
         }
         if cost_failed {
@@ -1804,6 +1640,16 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The counters of `current` that differ from `base`, as `(name, baseline,
+/// current, current − baseline)`.
+fn drift(current: &CostReport, base: &CostReport) -> Vec<(&'static str, u64, u64, i128)> {
+    let pairs = current.counters().into_iter().zip(base.counters());
+    pairs
+        .filter(|((_, cur), (_, b))| cur != b)
+        .map(|((name, cur), (_, b))| (name, b, cur, cur as i128 - b as i128))
+        .collect()
+}
+
 /// Appends the baseline-vs-current comparison as a Markdown table — the
 /// payload the `bench-smoke` CI job drops into `$GITHUB_STEP_SUMMARY`
 /// (append, not truncate: the summary file is shared by every step).
@@ -1840,14 +1686,7 @@ fn append_summary(
         let cost_col = match cost_baseline_for(report) {
             Some(base) if base == report.metrics.cost => "exact".to_string(),
             Some(base) => {
-                let drifted = report
-                    .metrics
-                    .cost
-                    .counters()
-                    .iter()
-                    .zip(base.counters().iter())
-                    .filter(|((_, cur), (_, b))| cur != b)
-                    .count();
+                let drifted = drift(&report.metrics.cost, &base).len();
                 format!("**DRIFT** ({drifted} counters)")
             }
             None => "—".to_string(),
@@ -1878,17 +1717,8 @@ fn append_summary(
         let _ = writeln!(out, "#### Cost counter drift: `{}`\n", report.label());
         let _ = writeln!(out, "| counter | baseline | current | delta |");
         let _ = writeln!(out, "|---|---:|---:|---:|");
-        for ((cname, cur), (_, base_v)) in report
-            .metrics
-            .cost
-            .counters()
-            .iter()
-            .zip(base.counters().iter())
-        {
-            if cur != base_v {
-                let delta = *cur as i128 - *base_v as i128;
-                let _ = writeln!(out, "| {cname} | {base_v} | {cur} | {delta:+} |");
-            }
+        for (cname, base_v, cur, delta) in drift(&report.metrics.cost, &base) {
+            let _ = writeln!(out, "| {cname} | {base_v} | {cur} | {delta:+} |");
         }
         let _ = writeln!(out);
     }
@@ -1951,6 +1781,91 @@ mod tests {
             ),
         ] {
             assert!(cost_rows(&text).is_err(), "{case} must be rejected");
+        }
+    }
+
+    /// A fleet row with a quoted instance label, fractional fields and
+    /// every report section populated.
+    fn report(job: Option<usize>) -> Report {
+        Report {
+            instance: "ta \"x\"\\y".into(),
+            jobs: 20,
+            machines: 20,
+            mode: Mode::BackendFast(BackendKind::Fleet(FleetTopology::uniform(2))),
+            lookahead: true,
+            job,
+            fleet_weights: Some(vec![0.5, 0.5]),
+            pool_size: 8,
+            reps: 1,
+            metrics: RunMetrics::from_backend(
+                12_345,
+                &GpuRunStats {
+                    wall_time: Duration::from_millis(7),
+                    ..Default::default()
+                },
+                100,
+                false,
+                CostReport {
+                    batches: 2,
+                    waves: job.map_or(5, |j| j as u64),
+                    ..Default::default()
+                },
+                SolveLatencies::default(),
+            ),
+        }
+    }
+
+    #[test]
+    fn written_reports_read_back_under_their_keys() {
+        let (single, rows) = ([report(None)], [report(None), report(Some(3))]);
+        for (text, written) in [
+            (reports_to_json(&single, None, None), &single[..]),
+            (reports_to_json(&rows, Some(4), None), &rows[..]),
+            (cost_baseline_json(&rows), &rows[..]),
+        ] {
+            let costs = cost_rows(&text).expect("cost rows read back");
+            assert_eq!(costs.len(), written.len());
+            for (row, report) in costs.iter().zip(written) {
+                assert_eq!((&row.key, row.cost), (&report.key(), report.metrics.cost));
+                assert!(row_for(&costs, report).is_some_and(|r| r.key == report.key()));
+            }
+        }
+        let baseline = baseline_rows(&reports_to_json(&rows, Some(4), None)).expect("reads");
+        for (row, report) in baseline.iter().zip(&rows) {
+            assert_eq!(row.key, report.key());
+            assert!((row.nodes_per_sec - report.nodes_per_sec()).abs() < 0.1);
+        }
+    }
+
+    #[test]
+    fn rows_without_a_backend_or_device_count_are_rejected() {
+        let cost = CostReport::default().to_json("");
+        for text in [
+            format!("{{\"rows\": [{{\"devices\": 1, \"cost\": {cost}}}]}}"),
+            format!("{{\"rows\": [{{\"backend\": \"gpu\", \"cost\": {cost}}}]}}"),
+            "{\"rows\": []}".to_string(),
+        ] {
+            assert!(cost_rows(&text).is_err(), "{text}");
+        }
+        assert!(baseline_rows("{\"nodes_per_sec\": 1.0}").is_err());
+        assert!(baseline_rows("{\"backend\": \"gpu\", \"nodes_per_sec\": 1.0}").is_err());
+    }
+
+    #[test]
+    fn committed_baselines_read_whole_and_reject_every_truncation() {
+        let cost = include_str!("../../../../BENCH_cost_baseline.json");
+        let wall = include_str!("../../../../BENCH_baseline.json");
+        assert_eq!(cost_rows(cost).expect("cost baseline").len(), 13);
+        assert_eq!(baseline_rows(wall).expect("wall-clock baseline").len(), 5);
+        // The wall-clock baseline is a v8 report: 19 counters per row.
+        assert!(cost_rows(wall).is_err());
+        // Every prefix cut before the final `}`.
+        let cuts = |text: &str| 0..text.trim_end().len() - 1;
+        for cut in cuts(cost) {
+            assert!(cost_rows(&cost[..cut]).is_err(), "{cut}-byte prefix");
+        }
+        for cut in cuts(wall) {
+            assert!(baseline_rows(&wall[..cut]).is_err(), "{cut}-byte prefix");
         }
     }
 }

@@ -12,6 +12,7 @@
 //! single-counter drift fails loudly on every machine.
 
 use crate::backend::BackendAccounting;
+use crate::json::{self, Json};
 use crate::stats::HOST_OPS_CYCLES_PER_NODE;
 use std::fmt;
 use std::time::Duration;
@@ -231,46 +232,7 @@ impl CostReport {
     /// `CachegrindStats::subtract` idiom): all-zero exactly when the two
     /// reports are equal.
     pub fn subtract(&self, baseline: &CostReport) -> CostReport {
-        CostReport {
-            batches: self.batches.saturating_sub(baseline.batches),
-            launches: self.launches.saturating_sub(baseline.launches),
-            waves: self.waves.saturating_sub(baseline.waves),
-            device_nodes: self.device_nodes.saturating_sub(baseline.device_nodes),
-            host_nodes: self.host_nodes.saturating_sub(baseline.host_nodes),
-            h2d_bytes: self.h2d_bytes.saturating_sub(baseline.h2d_bytes),
-            d2h_bytes: self.d2h_bytes.saturating_sub(baseline.d2h_bytes),
-            kernel_nanos: self.kernel_nanos.saturating_sub(baseline.kernel_nanos),
-            transfer_nanos: self.transfer_nanos.saturating_sub(baseline.transfer_nanos),
-            schedule_nanos: self.schedule_nanos.saturating_sub(baseline.schedule_nanos),
-            host_op_cycles: self.host_op_cycles.saturating_sub(baseline.host_op_cycles),
-            fleet_merge_cycles: self
-                .fleet_merge_cycles
-                .saturating_sub(baseline.fleet_merge_cycles),
-            fleet_steals: self.fleet_steals.saturating_sub(baseline.fleet_steals),
-            fleet_stolen_nodes: self
-                .fleet_stolen_nodes
-                .saturating_sub(baseline.fleet_stolen_nodes),
-            fleet_idle_nanos: self
-                .fleet_idle_nanos
-                .saturating_sub(baseline.fleet_idle_nanos),
-            fleet_failures: self.fleet_failures.saturating_sub(baseline.fleet_failures),
-            fleet_redealt_nodes: self
-                .fleet_redealt_nodes
-                .saturating_sub(baseline.fleet_redealt_nodes),
-            fleet_recovery_nanos: self
-                .fleet_recovery_nanos
-                .saturating_sub(baseline.fleet_recovery_nanos),
-            serial_accesses: self
-                .serial_accesses
-                .saturating_sub(baseline.serial_accesses),
-            cache_hits: self.cache_hits.saturating_sub(baseline.cache_hits),
-            cache_warm_starts: self
-                .cache_warm_starts
-                .saturating_sub(baseline.cache_warm_starts),
-            cache_invalidated_nodes: self
-                .cache_invalidated_nodes
-                .saturating_sub(baseline.cache_invalidated_nodes),
-        }
+        self.zip_with(baseline, u64::saturating_sub)
     }
 
     /// Adds every counter of `other` into `self` — the aggregation dual of
@@ -278,28 +240,16 @@ impl CostReport {
     /// reports into fleet-wide totals (and the tests to prove the per-job
     /// carve is exhaustive: the shared report equals the absorbed sum).
     pub fn absorb(&mut self, other: &CostReport) {
-        self.batches += other.batches;
-        self.launches += other.launches;
-        self.waves += other.waves;
-        self.device_nodes += other.device_nodes;
-        self.host_nodes += other.host_nodes;
-        self.h2d_bytes += other.h2d_bytes;
-        self.d2h_bytes += other.d2h_bytes;
-        self.kernel_nanos += other.kernel_nanos;
-        self.transfer_nanos += other.transfer_nanos;
-        self.schedule_nanos += other.schedule_nanos;
-        self.host_op_cycles += other.host_op_cycles;
-        self.fleet_merge_cycles += other.fleet_merge_cycles;
-        self.fleet_steals += other.fleet_steals;
-        self.fleet_stolen_nodes += other.fleet_stolen_nodes;
-        self.fleet_idle_nanos += other.fleet_idle_nanos;
-        self.fleet_failures += other.fleet_failures;
-        self.fleet_redealt_nodes += other.fleet_redealt_nodes;
-        self.fleet_recovery_nanos += other.fleet_recovery_nanos;
-        self.serial_accesses += other.serial_accesses;
-        self.cache_hits += other.cache_hits;
-        self.cache_warm_starts += other.cache_warm_starts;
-        self.cache_invalidated_nodes += other.cache_invalidated_nodes;
+        *self = self.zip_with(other, |a, b| a + b);
+    }
+
+    /// The report whose every counter is `f(self's, other's)`.
+    fn zip_with(&self, other: &CostReport, f: impl Fn(u64, u64) -> u64) -> CostReport {
+        let mut out = CostReport::default();
+        for ((name, a), (_, b)) in self.counters().into_iter().zip(other.counters()) {
+            out.set_counter(name, f(a, b));
+        }
+        out
     }
 
     /// Total nodes bounded (device + host).
@@ -353,9 +303,30 @@ impl CostReport {
         out
     }
 
+    /// Reads an object written by [`CostReport::to_json`]: each of the
+    /// [`COST_COUNTERS`] counter names exactly once, each an unsigned
+    /// integer. A missing, unknown or repeated counter is an error.
+    pub fn from_json(value: &Json) -> Result<Self, String> {
+        let entries = value.as_object("cost")?;
+        let mut cost = CostReport::default();
+        let names = cost.counters().map(|(name, _)| name);
+        for name in names {
+            cost.set_counter(name, json::get(entries, name)?.as_int(name)?);
+        }
+        if let Some((name, _)) = entries.iter().find(|(k, _)| !names.contains(&k.as_str())) {
+            return Err(format!("unknown cost counter {name:?}"));
+        }
+        if entries.len() != COST_COUNTERS {
+            return Err(format!(
+                "cost object has {} counters, expected {COST_COUNTERS}",
+                entries.len()
+            ));
+        }
+        Ok(cost)
+    }
+
     /// Sets the counter called `name` to `value`; returns `false` when no
-    /// counter has that name. The inverse of [`CostReport::counters`], used
-    /// by parsers of emitted reports (e.g. checkpoint files).
+    /// counter has that name. The inverse of [`CostReport::counters`].
     pub fn set_counter(&mut self, name: &str, value: u64) -> bool {
         match name {
             "batches" => self.batches = value,
@@ -604,6 +575,12 @@ mod tests {
         // Saturating: the reverse direction clamps to zero instead of
         // wrapping.
         assert_eq!(a.subtract(&b).launches, 0);
+        // `absorb` is its inverse, counter by counter.
+        let mut sum = a;
+        sum.absorb(&diff);
+        assert_eq!(sum, b);
+        sum.absorb(&a);
+        assert_eq!(sum.subtract(&a), b);
     }
 
     #[test]
@@ -739,5 +716,29 @@ mod tests {
         for key in ["\"launch\":", "\"batch\":", "\"solve\":"] {
             assert!(json.contains(key), "{key} missing from {json}");
         }
+    }
+
+    #[test]
+    fn cost_json_round_trips_and_rejects_bad_counter_sets() {
+        let report = sample_report();
+        let text = report.to_json("  ");
+        let read = |text: &str| CostReport::from_json(&Json::parse(text).expect("parses"));
+        assert_eq!(read(&text), Ok(report));
+        for (case, bad) in [
+            ("missing", text.replace("\"waves\": 6,\n", "")),
+            ("unknown", text.replace("\"waves\"", "\"warps\"")),
+            ("fraction", text.replace("\"waves\": 6", "\"waves\": 6.5")),
+            ("not an object", "[1]".to_string()),
+        ] {
+            assert!(read(&bad).is_err(), "{case} counter set must be rejected");
+        }
+        // A repeated counter never reaches the decoder through the parser;
+        // a hand-built object with one is rejected too.
+        let mut entries = report
+            .counters()
+            .map(|(n, v)| (n.to_string(), Json::Int(v)))
+            .to_vec();
+        entries.push(("batches".into(), Json::Int(3)));
+        assert!(CostReport::from_json(&Json::Obj(entries)).is_err());
     }
 }

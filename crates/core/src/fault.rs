@@ -24,7 +24,7 @@
 //! **Checkpoints** ([`SolveCheckpoint`]): the solver's complete resumable
 //! state at a batch boundary — pool frontier (in deterministic drain
 //! order), incumbent, proven bound and accumulated [`CostReport`] — with a
-//! hand-rolled JSON round-trip ([`SolveCheckpoint::to_json`] /
+//! JSON round-trip ([`SolveCheckpoint::to_json`] /
 //! [`SolveCheckpoint::from_json`], schema [`CHECKPOINT_SCHEMA_VERSION`]).
 //! Re-pushing the frontier in drain order reproduces the pool's exact pop
 //! order (best-first on bound, ties deeper-first then insertion order), so
@@ -32,11 +32,20 @@
 //! [`crate::service::JobSpec::resume_from`]) continues the identical
 //! exploration and ends with the same certificate — makespan, proven bound
 //! and summed cost — as an uninterrupted run.
+//!
+//! A checkpoint file is untrusted input. [`SolveCheckpoint::from_json`]
+//! reads it through the workspace's one JSON reader ([`crate::json`]) and
+//! rejects malformed documents, cost objects and job lists;
+//! [`SolveCheckpoint::check`] then verifies it against the instance (shape,
+//! the incumbent's recomputed makespan, `proven_bound ≤ upper_bound`)
+//! before a resume trusts it.
 
 use crate::config::GpuSolverConfig;
-use crate::cost::{CostReport, COST_COUNTERS};
+use crate::cost::CostReport;
 use crate::fleet::{plan_shards_weighted, steal_pass, FleetShard, MemberModel};
+use crate::json::{get, Json};
 use bb::FspNode;
+use fsp::schedule::{is_permutation, makespan};
 use fsp::{Instance, Job, Time};
 
 /// Schema tag of the checkpoint JSON document.
@@ -312,56 +321,95 @@ impl SolveCheckpoint {
         out
     }
 
-    /// Parses a document emitted by [`SolveCheckpoint::to_json`]. Rejects
-    /// unknown schema versions, unknown or missing fields, and malformed
-    /// cost counters, with a human-readable reason.
+    /// Parses a document emitted by [`SolveCheckpoint::to_json`]. Rejects,
+    /// with a human-readable reason: an unknown schema version; a missing
+    /// field; a malformed cost object ([`CostReport::from_json`]); a
+    /// frontier prefix naming a job outside `0..jobs` or one job twice; and
+    /// a `best_schedule` that is not a permutation of `0..jobs`. Whether
+    /// the checkpoint fits an instance is [`SolveCheckpoint::check`]'s job.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let doc = Json::parse(text)?;
         let obj = doc.as_object("checkpoint")?;
-        let schema = get(obj, "schema_version")?.as_string("schema_version")?;
+        let schema = get(obj, "schema_version")?.as_str("schema_version")?;
         if schema != CHECKPOINT_SCHEMA_VERSION {
             return Err(format!(
                 "unsupported checkpoint schema {schema:?} (expected {CHECKPOINT_SCHEMA_VERSION:?})"
             ));
         }
-        let jobs = get(obj, "jobs")?.as_usize("jobs")?;
-        let machines = get(obj, "machines")?.as_usize("machines")?;
-        let upper_bound = get(obj, "upper_bound")?.as_time("upper_bound")?;
+        let jobs = get(obj, "jobs")?.as_int("jobs")?;
         let best_schedule = match get(obj, "best_schedule")? {
             Json::Null => None,
-            value => Some(jobs_from_json(value, "best_schedule")?),
-        };
-        let proven_bound = get(obj, "proven_bound")?.as_time("proven_bound")?;
-        let cost_entries = get(obj, "cost")?.as_object("cost")?;
-        let mut cost = CostReport::default();
-        for (name, value) in cost_entries {
-            let value = value.as_u64(name)?;
-            if !cost.set_counter(name, value) {
-                return Err(format!("unknown cost counter {name:?}"));
+            value => {
+                let schedule = jobs_from_json(value, "best_schedule")?;
+                if !is_permutation(&schedule, jobs) {
+                    return Err(format!(
+                        "best_schedule {schedule:?} is not a permutation of 0..{jobs}"
+                    ));
+                }
+                Some(schedule)
             }
-        }
-        if cost_entries.len() != COST_COUNTERS {
-            return Err(format!(
-                "cost object has {} counters, expected {COST_COUNTERS}",
-                cost_entries.len()
-            ));
-        }
+        };
         let mut frontier = Vec::new();
         for entry in get(obj, "frontier")?.as_array("frontier")? {
             let node = entry.as_object("frontier entry")?;
             let prefix = jobs_from_json(get(node, "prefix")?, "prefix")?;
-            let bound = get(node, "bound")?.as_time("bound")?;
-            frontier.push((prefix, bound));
+            let mut sorted = prefix.clone();
+            sorted.sort_unstable();
+            if sorted.last().is_some_and(|&j| j >= jobs) || sorted.windows(2).any(|w| w[0] == w[1])
+            {
+                return Err(format!(
+                    "frontier prefix {prefix:?} is not a partial schedule of 0..{jobs}"
+                ));
+            }
+            frontier.push((prefix, get(node, "bound")?.as_int("bound")?));
         }
         Ok(Self {
             jobs,
-            machines,
-            upper_bound,
+            machines: get(obj, "machines")?.as_int("machines")?,
+            upper_bound: get(obj, "upper_bound")?.as_int("upper_bound")?,
             best_schedule,
-            proven_bound,
-            cost,
+            proven_bound: get(obj, "proven_bound")?.as_int("proven_bound")?,
+            cost: CostReport::from_json(get(obj, "cost")?)?,
             frontier,
         })
+    }
+
+    /// Checks the checkpoint against the instance it claims to belong to:
+    /// the shape matches, the incumbent's recomputed makespan equals
+    /// `upper_bound` (an incumbent without a schedule cannot be checked, so
+    /// `upper_bound` must then be [`Time::MAX`]), and `proven_bound ≤
+    /// upper_bound`. Run it before resuming a checkpoint read from a file;
+    /// the frontier's stored bounds are still trusted.
+    pub fn check(&self, inst: &Instance) -> Result<(), String> {
+        if (self.jobs, self.machines) != (inst.jobs(), inst.machines()) {
+            return Err(format!(
+                "checkpoint was written for a {}x{} instance, not {}x{}",
+                self.jobs,
+                self.machines,
+                inst.jobs(),
+                inst.machines()
+            ));
+        }
+        let claimed = match &self.best_schedule {
+            Some(schedule) if !is_permutation(schedule, inst.jobs()) => {
+                return Err(format!("best_schedule {schedule:?} is not a permutation"));
+            }
+            Some(schedule) => makespan(inst, schedule),
+            None => Time::MAX,
+        };
+        if claimed != self.upper_bound {
+            return Err(format!(
+                "upper_bound {} does not match the best schedule's makespan {claimed}",
+                self.upper_bound
+            ));
+        }
+        if self.proven_bound > self.upper_bound {
+            return Err(format!(
+                "proven_bound {} exceeds upper_bound {}",
+                self.proven_bound, self.upper_bound
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -374,190 +422,8 @@ fn jobs_from_json(value: &Json, what: &str) -> Result<Vec<Job>, String> {
     value
         .as_array(what)?
         .iter()
-        .map(|v| v.as_usize(what))
+        .map(|v| v.as_int(what))
         .collect()
-}
-
-fn get<'a>(obj: &'a [(String, Json)], name: &str) -> Result<&'a Json, String> {
-    obj.iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field {name:?}"))
-}
-
-/// Minimal JSON value for the checkpoint round-trip: the repo serializes by
-/// hand (no serde), so it parses by hand too. Only the subset the emitters
-/// produce — objects, arrays, unsigned integers, plain strings, `null`.
-enum Json {
-    Null,
-    Num(u64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn parse(text: &str) -> Result<Self, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing characters at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    fn as_object(&self, what: &str) -> Result<&[(String, Json)], String> {
-        match self {
-            Json::Obj(entries) => Ok(entries),
-            _ => Err(format!("{what} is not a JSON object")),
-        }
-    }
-
-    fn as_array(&self, what: &str) -> Result<&[Json], String> {
-        match self {
-            Json::Arr(items) => Ok(items),
-            _ => Err(format!("{what} is not a JSON array")),
-        }
-    }
-
-    fn as_string(&self, what: &str) -> Result<&str, String> {
-        match self {
-            Json::Str(s) => Ok(s),
-            _ => Err(format!("{what} is not a JSON string")),
-        }
-    }
-
-    fn as_u64(&self, what: &str) -> Result<u64, String> {
-        match self {
-            Json::Num(n) => Ok(*n),
-            _ => Err(format!("{what} is not an unsigned integer")),
-        }
-    }
-
-    fn as_usize(&self, what: &str) -> Result<usize, String> {
-        usize::try_from(self.as_u64(what)?).map_err(|_| format!("{what} overflows usize"))
-    }
-
-    fn as_time(&self, what: &str) -> Result<Time, String> {
-        Time::try_from(self.as_u64(what)?).map_err(|_| format!("{what} overflows Time"))
-    }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&byte) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected {:?} at byte {pos}", byte as char))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b'n') => {
-            if bytes[*pos..].starts_with(b"null") {
-                *pos += 4;
-                Ok(Json::Null)
-            } else {
-                Err(format!("invalid literal at byte {pos}"))
-            }
-        }
-        Some(b) if b.is_ascii_digit() => parse_number(bytes, pos),
-        _ => Err(format!("unexpected input at byte {pos}")),
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(bytes, pos, b'{')?;
-    let mut entries = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(entries));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        entries.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(entries));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-        }
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let start = *pos;
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'"' => {
-                let s = std::str::from_utf8(&bytes[start..*pos])
-                    .map_err(|_| format!("invalid UTF-8 in string at byte {start}"))?
-                    .to_string();
-                *pos += 1;
-                return Ok(s);
-            }
-            // The emitters never escape; reject rather than mis-parse.
-            b'\\' => return Err(format!("escape sequences unsupported at byte {pos}")),
-            _ => *pos += 1,
-        }
-    }
-    Err(format!("unterminated string starting at byte {start}"))
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
-        *pos += 1;
-    }
-    let digits = std::str::from_utf8(&bytes[start..*pos]).expect("digits are ASCII");
-    digits
-        .parse::<u64>()
-        .map(Json::Num)
-        .map_err(|_| format!("number at byte {start} overflows u64"))
 }
 
 #[cfg(test)]
@@ -767,5 +633,67 @@ mod tests {
             .replace("\"batches\": 0,\n", "")
             .replace("\"waves\": 0,\n", "");
         assert!(SolveCheckpoint::from_json(&mangled).is_err());
+    }
+
+    /// A checkpoint of a real solve, paused after three batches.
+    fn fresh_checkpoint() -> (Instance, SolveCheckpoint) {
+        let inst = generate("t", 9, 5, 31);
+        let config = GpuSolverConfig {
+            pool_size: 32,
+            fast_forward: true,
+            checkpoint_after: Some(3),
+            ..Default::default()
+        };
+        let outcome = crate::GpuBnbSolver::new(inst.clone(), config).solve();
+        let checkpoint = outcome.checkpoint.expect("the solve pauses");
+        assert!(checkpoint.best_schedule.is_some() && !checkpoint.frontier.is_empty());
+        (inst, checkpoint)
+    }
+
+    #[test]
+    fn a_fresh_checkpoint_checks_and_every_truncation_is_an_error() {
+        let (inst, checkpoint) = fresh_checkpoint();
+        let text = checkpoint.to_json();
+        let parsed = SolveCheckpoint::from_json(&text).expect("the whole file parses");
+        assert_eq!(parsed.check(&inst), Ok(()));
+        // Every prefix cut before the final `}`.
+        for cut in 0..text.trim_end().len() - 1 {
+            assert!(
+                SolveCheckpoint::from_json(&text[..cut]).is_err(),
+                "prefix of {cut} bytes must be rejected"
+            );
+        }
+    }
+
+    #[test]
+    fn forged_checkpoints_are_rejected() {
+        let (inst, checkpoint) = fresh_checkpoint();
+        let forged = |edit: &dyn Fn(&mut SolveCheckpoint)| {
+            let mut forged = checkpoint.clone();
+            edit(&mut forged);
+            forged
+        };
+        let parse = |c: SolveCheckpoint| SolveCheckpoint::from_json(&c.to_json());
+        // Jobs outside the instance, repeated jobs and repeated counters
+        // never parse.
+        assert!(parse(forged(&|c| c.frontier[0].0 = vec![99, 1])).is_err());
+        assert!(parse(forged(&|c| c.frontier[0].0 = vec![0, 0])).is_err());
+        assert!(parse(forged(&|c| c.best_schedule = Some(vec![77, 77]))).is_err());
+        assert!(parse(forged(&|c| c.best_schedule = Some(vec![0, 1, 2]))).is_err());
+        let doubled = checkpoint.to_json().replacen("\"waves\"", "\"batches\"", 1);
+        assert!(!doubled.contains("\"waves\"") && SolveCheckpoint::from_json(&doubled).is_err());
+        // Claims the instance refutes parse, and fail `check`.
+        assert_eq!(checkpoint.check(&inst), Ok(()));
+        let edits: [&dyn Fn(&mut SolveCheckpoint); 5] = [
+            &|c| c.upper_bound = 5,
+            &|c| c.best_schedule = None,
+            &|c| c.best_schedule = Some(vec![0; 9]),
+            &|c| c.proven_bound = c.upper_bound + 1,
+            &|c| c.machines += 1,
+        ];
+        for edit in edits {
+            assert!(forged(edit).check(&inst).is_err());
+        }
+        assert!(checkpoint.check(&generate("t", 10, 5, 31)).is_err());
     }
 }

@@ -14,6 +14,7 @@ pub mod config;
 pub mod cost;
 pub mod fault;
 pub mod fleet;
+pub mod json;
 pub mod kernel_lb;
 pub mod offload;
 pub mod placement;

@@ -2,8 +2,9 @@
 //!
 //! Worker threads share the pool of pending sub-problems and the incumbent,
 //! exactly like a POSIX-threads implementation would: each worker repeatedly
-//! pops a node, branches it, bounds the children **on its own CPU core**, and
-//! pushes the surviving children back. The incumbent is a lock-free atomic;
+//! pops a node, branches it, bounds the children **on its own CPU core** (one
+//! [`FspProblem::bound_all`] call per decomposed node), and pushes the
+//! surviving children back. The incumbent is a lock-free atomic;
 //! the pool is a mutex-protected best-first heap.
 
 use bb::pool::Pool;
@@ -60,24 +61,6 @@ impl MulticoreOutcome {
     /// `true` when the tree was fully explored or pruned.
     pub fn is_optimal(&self) -> bool {
         self.exhausted
-    }
-
-    fn new(
-        best_makespan: Time,
-        best_schedule: Option<Vec<Job>>,
-        stats: SolveStats,
-        elapsed: Duration,
-        threads: usize,
-        exhausted: bool,
-    ) -> Self {
-        Self {
-            best_makespan,
-            best_schedule,
-            stats,
-            elapsed,
-            threads,
-            exhausted,
-        }
     }
 }
 
@@ -189,12 +172,14 @@ impl<B: NodeBound> MulticoreSolver<B> {
                             local.pruned += 1;
                         } else {
                             local.decomposed += 1;
-                            let children = self.problem.branch(&node);
+                            // Bounding happens on this worker's core: all
+                            // the children first, then their elimination in
+                            // generation order.
+                            let mut children = self.problem.branch(&node);
+                            self.problem.bound_all(&mut children);
+                            local.bounded += children.len() as u64;
                             let mut survivors = Vec::with_capacity(children.len());
-                            for mut child in children {
-                                // Bounding happens on this worker's core.
-                                self.problem.bound(&mut child);
-                                local.bounded += 1;
+                            for child in children {
                                 if self.problem.is_leaf(&child) {
                                     local.leaves += 1;
                                     let cost = self.problem.leaf_cost(&child);
@@ -231,15 +216,14 @@ impl<B: NodeBound> MulticoreSolver<B> {
             }
         });
 
-        let exhausted = truncated.load(Ordering::Relaxed) == 0;
-        MulticoreOutcome::new(
-            ub.get(),
-            incumbent_schedule.into_inner().unwrap(),
-            stats.into_inner().unwrap(),
-            start.elapsed(),
-            self.config.threads,
-            exhausted,
-        )
+        MulticoreOutcome {
+            best_makespan: ub.get(),
+            best_schedule: incumbent_schedule.into_inner().unwrap(),
+            stats: stats.into_inner().unwrap(),
+            elapsed: start.elapsed(),
+            threads: self.config.threads,
+            exhausted: truncated.load(Ordering::Relaxed) == 0,
+        }
     }
 }
 
@@ -278,6 +262,21 @@ mod tests {
             assert_eq!(outcome.threads, threads);
             let sched = outcome.best_schedule.expect("schedule");
             assert_eq!(fsp::makespan(&inst, &sched), outcome.best_makespan);
+        }
+    }
+
+    #[test]
+    fn one_worker_visits_the_serial_solvers_node_set() {
+        // One worker runs the serial loop: same pool order, same bounds,
+        // children eliminated in generation order.
+        for (jobs, machines, seed) in [(8, 5, 3), (10, 6, 17), (12, 4, 5)] {
+            let inst = generate("t", jobs, machines, seed);
+            let serial = bb::SerialSolver::with_defaults(FspProblem::new(inst.clone())).solve();
+            let outcome = MulticoreSolver::new(inst, config(1)).solve();
+            let counts = |s: SolveStats| SolveStats { max_pool: 0, ..s };
+            assert_eq!(counts(outcome.stats), counts(serial.stats));
+            assert_eq!(outcome.best_makespan, serial.best_makespan);
+            assert_eq!(outcome.best_schedule, serial.best_schedule);
         }
     }
 
