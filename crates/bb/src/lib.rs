@@ -14,7 +14,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bitset;
 pub mod node;
 pub mod pool;
 pub mod problem;
@@ -23,9 +22,8 @@ pub mod solver;
 pub mod stats;
 pub mod upper_bound;
 
-pub use bitset::JobSet;
 pub use node::FspNode;
-pub use pool::{BestFirstPool, DepthFirstPool, FifoPool, Pool, PoolStrategy};
+pub use pool::{BestFirstPool, DepthFirstPool, FifoPool, Pool, PoolItem, PoolStrategy};
 pub use problem::FspProblem;
 pub use protocol::{frozen_pool, frozen_pool_with_strategy, FrozenPool};
 pub use solver::{SerialSolver, SolveOutcome, SolverConfig, StopReason};

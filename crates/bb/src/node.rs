@@ -7,18 +7,21 @@
 //! operators and the GPU off-load engine need, without back-references to the
 //! parent.
 
-use crate::bitset::JobSet;
 use fsp::{Instance, Job, Time};
 
 /// A sub-problem of the Flow-Shop B&B tree.
+///
+/// The whole node lives in one allocation, `data`: the front (`machines`
+/// words), then the scheduled set (one bit per job, `⌈jobs/32⌉` words), then
+/// the prefix, two jobs per word (the earlier job in the low half). A child
+/// therefore costs one allocation, and the node itself is 32 bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FspNode {
-    /// Scheduled prefix, in processing order (job indices fit in `u16`).
-    prefix: Vec<u16>,
-    /// Membership set of the prefix.
-    scheduled: JobSet,
-    /// Completion time of the prefix on every machine.
-    front: Vec<Time>,
+    data: Box<[u32]>,
+    machines: u32,
+    jobs: u32,
+    /// Number of scheduled jobs.
+    depth: u32,
     /// Lower bound on the makespan of every completion of this node.
     /// Set by the bounding operator; `0` until then.
     bound: Time,
@@ -26,11 +29,22 @@ pub struct FspNode {
 
 impl FspNode {
     /// The root node: empty schedule, zero front, zero bound.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the instance has more than 65,536 jobs (a prefix entry is
+    /// 16 bits).
     pub fn root(inst: &Instance) -> Self {
+        assert!(
+            inst.jobs() <= 1 << 16,
+            "{} jobs: a node holds at most 65536",
+            inst.jobs()
+        );
         Self {
-            prefix: Vec::new(),
-            scheduled: JobSet::new(inst.jobs()),
-            front: vec![0; inst.machines()],
+            data: vec![0; inst.machines() + inst.jobs().div_ceil(32)].into_boxed_slice(),
+            machines: inst.machines() as u32,
+            jobs: inst.jobs() as u32,
+            depth: 0,
             bound: 0,
         }
     }
@@ -60,87 +74,146 @@ impl FspNode {
     /// Panics if `job` is already scheduled or out of range.
     pub fn child(&self, inst: &Instance, job: Job) -> Self {
         assert!(job < inst.jobs(), "job {job} out of range");
-        assert!(!self.scheduled.contains(job), "job {job} already scheduled");
-        let mut prefix = Vec::with_capacity(self.prefix.len() + 1);
-        prefix.extend_from_slice(&self.prefix);
-        prefix.push(job as u16);
-        let mut scheduled = self.scheduled.clone();
-        scheduled.insert(job);
-        let mut front = self.front.clone();
+        let mut child = self.extended(job);
         let mut prev = 0;
-        for (k, c) in front.iter_mut().enumerate() {
-            let start = (*c).max(prev);
-            *c = start + inst.pt(job, k);
+        for (c, &p) in child.data[..inst.machines()]
+            .iter_mut()
+            .zip(inst.job_row(job))
+        {
+            *c = (*c).max(prev) + p;
             prev = *c;
         }
-        Self {
-            prefix,
-            scheduled,
-            front,
-            bound: self.bound,
+        child
+    }
+
+    /// Appends the front of [`Self::child`]`(inst, job)` to `out` for each
+    /// job of `jobs`, in order, without building the children.
+    pub fn push_children_fronts(&self, inst: &Instance, jobs: &[Job], out: &mut Vec<Time>) {
+        const CHAINS: usize = 4;
+        let m = self.machines as usize;
+        let start = out.len();
+        out.resize(start + jobs.len() * m, 0);
+        // The recurrences of different children are independent: run four
+        // side by side so that the CPU overlaps their max-add chains.
+        for (jobs, fronts) in jobs.chunks(CHAINS).zip(out[start..].chunks_mut(CHAINS * m)) {
+            let rows: [&[Time]; CHAINS] =
+                std::array::from_fn(|l| inst.job_row(jobs[l.min(jobs.len() - 1)]));
+            let mut prev = [0; CHAINS];
+            for (k, &f) in self.front().iter().enumerate() {
+                for l in 0..CHAINS {
+                    prev[l] = f.max(prev[l]) + rows[l][k];
+                }
+                for (l, &t) in prev.iter().enumerate().take(jobs.len()) {
+                    fronts[l * m + k] = t;
+                }
+            }
         }
+    }
+
+    /// [`Self::child`] from a front already computed by
+    /// [`Self::push_children_fronts`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `job` is already scheduled or out of range, or if `front`
+    /// does not have one entry per machine.
+    pub fn child_with_front(&self, job: Job, front: &[Time]) -> Self {
+        let mut child = self.extended(job);
+        child.data[..self.machines as usize].copy_from_slice(front);
+        child
+    }
+
+    /// A copy of this node with `job` appended to its prefix and set; the
+    /// front is the parent's, for the caller to advance.
+    fn extended(&self, job: Job) -> Self {
+        assert!(job < self.jobs as usize, "job {job} out of range");
+        assert!(!self.is_scheduled(job), "job {job} already scheduled");
+        let depth = self.depth as usize;
+        let prefix_at = self.prefix_offset() + depth / 2;
+        let mut data = Vec::with_capacity(prefix_at + 1);
+        data.extend_from_slice(&self.data);
+        data.resize(prefix_at + 1, 0);
+        data[self.machines as usize + job / 32] |= 1 << (job % 32);
+        data[prefix_at] |= (job as u32) << (16 * (depth % 2));
+        Self {
+            data: data.into_boxed_slice(),
+            depth: self.depth + 1,
+            ..*self
+        }
+    }
+
+    /// Index of the first prefix word in `data`.
+    fn prefix_offset(&self) -> usize {
+        self.machines as usize + (self.jobs as usize).div_ceil(32)
     }
 
     /// Scheduled prefix as job indices.
     pub fn prefix(&self) -> impl Iterator<Item = Job> + '_ {
-        self.prefix.iter().map(|&j| j as Job)
+        let words = &self.data[self.prefix_offset()..];
+        (0..self.depth as usize).map(move |i| ((words[i / 2] >> (16 * (i % 2))) & 0xFFFF) as Job)
     }
 
     /// Scheduled prefix as a freshly allocated `Vec<Job>`.
     pub fn prefix_vec(&self) -> Vec<Job> {
-        self.prefix.iter().map(|&j| j as Job).collect()
-    }
-
-    /// Raw `u16` prefix — the exact payload the GPU off-load engine copies to
-    /// the device.
-    pub fn prefix_raw(&self) -> &[u16] {
-        &self.prefix
+        self.prefix().collect()
     }
 
     /// Per-machine completion times of the prefix.
+    #[inline]
     pub fn front(&self) -> &[Time] {
-        &self.front
+        &self.data[..self.machines as usize]
     }
 
     /// Number of scheduled jobs (the node's depth in the tree).
+    #[inline]
     pub fn depth(&self) -> usize {
-        self.prefix.len()
+        self.depth as usize
     }
 
     /// Number of jobs still to schedule (`n'` in the paper).
     pub fn remaining(&self, inst: &Instance) -> usize {
-        inst.jobs() - self.prefix.len()
+        inst.jobs() - self.depth()
     }
 
     /// `true` when every job is scheduled (the node is a leaf / a complete
     /// schedule).
     pub fn is_complete(&self, inst: &Instance) -> bool {
-        self.prefix.len() == inst.jobs()
+        self.depth() == inst.jobs()
     }
 
     /// `true` when `job` belongs to the prefix.
+    #[inline]
     pub fn is_scheduled(&self, job: Job) -> bool {
-        self.scheduled.contains(job)
-    }
-
-    /// The set of scheduled jobs.
-    pub fn scheduled(&self) -> &JobSet {
-        &self.scheduled
+        job < self.jobs as usize
+            && (self.data[self.machines as usize + job / 32] >> (job % 32)) & 1 != 0
     }
 
     /// Jobs not yet scheduled, in increasing index order — the branching
     /// operator creates one child per element.
     pub fn unscheduled(&self) -> impl Iterator<Item = Job> + '_ {
-        self.scheduled.iter_absent()
+        let m = self.machines as usize;
+        let set = &self.data[m..self.prefix_offset()];
+        let jobs = self.jobs as usize;
+        set.iter().enumerate().flat_map(move |(w, &word)| {
+            let mut absent = !word;
+            std::iter::from_fn(move || {
+                let job = w * 32 + absent.trailing_zeros() as usize;
+                (absent != 0 && job < jobs).then(|| {
+                    absent &= absent - 1;
+                    job
+                })
+            })
+        })
     }
 
     /// Makespan of the prefix alone; equals the full makespan for a complete
     /// node.
     pub fn prefix_makespan(&self) -> Time {
-        *self.front.last().expect("at least one machine")
+        *self.front().last().expect("at least one machine")
     }
 
     /// The node's lower bound (0 until the bounding operator ran).
+    #[inline]
     pub fn bound(&self) -> Time {
         self.bound
     }
@@ -183,6 +256,21 @@ mod tests {
     }
 
     #[test]
+    fn child_with_a_pushed_front_equals_child() {
+        let inst = generate("t", 9, 4, 3);
+        let node = FspNode::from_prefix(&inst, &[6, 2]);
+        let jobs: Vec<Job> = node.unscheduled().collect();
+        for len in 0..=jobs.len() {
+            let mut fronts = vec![9];
+            node.push_children_fronts(&inst, &jobs[..len], &mut fronts);
+            assert_eq!(fronts.len(), 1 + 4 * len);
+            for (&job, front) in jobs.iter().zip(fronts[1..].chunks_exact(4)) {
+                assert_eq!(node.child_with_front(job, front), node.child(&inst, job));
+            }
+        }
+    }
+
+    #[test]
     fn complete_node_makespan() {
         let inst = generate("t", 5, 3, 9);
         let perm = [4, 2, 0, 1, 3];
@@ -216,9 +304,16 @@ mod tests {
     }
 
     #[test]
-    fn prefix_raw_is_u16() {
+    fn prefix_and_set_hold_every_job_index() {
         let inst = generate("t", 300, 5, 2);
-        let node = FspNode::from_prefix(&inst, &[299, 0, 150]);
-        assert_eq!(node.prefix_raw(), &[299u16, 0, 150]);
+        let node = FspNode::from_prefix(&inst, &[299, 0, 150, 31, 32]);
+        assert_eq!(node.prefix_vec(), vec![299, 0, 150, 31, 32]);
+        assert_eq!(node.unscheduled().count(), 295);
+        assert!([299, 0, 150, 31, 32].iter().all(|&j| node.is_scheduled(j)));
+        assert!(!node.is_scheduled(300) && !node.is_scheduled(1 << 20));
+        let big = fsp::Instance::new("big", 1 << 16, 1, vec![1; 1 << 16]);
+        let node = FspNode::from_prefix(&big, &[65_535, 7]);
+        assert_eq!(node.prefix_vec(), vec![65_535, 7]);
+        assert_eq!(node.front(), &[2]);
     }
 }

@@ -5,9 +5,31 @@
 //! uses to build the pools off-loaded to the GPU), depth-first dives along a
 //! branch (memory-frugal, used to build the frozen pool), FIFO explores in
 //! generation order.
+//!
+//! A pool holds [`FspNode`]s unless told otherwise: any [`PoolItem`] works,
+//! which lets the serial solver keep a compact pending-child record instead
+//! of a materialised node.
 
 use crate::node::FspNode;
+use fsp::Time;
 use std::collections::{BinaryHeap, VecDeque};
+
+/// What a pool needs to know about a pending sub-problem to order it.
+pub trait PoolItem: Send {
+    /// The sub-problem's lower bound.
+    fn bound(&self) -> Time;
+    /// Its depth (number of scheduled jobs).
+    fn depth(&self) -> usize;
+}
+
+impl PoolItem for FspNode {
+    fn bound(&self) -> Time {
+        FspNode::bound(self)
+    }
+    fn depth(&self) -> usize {
+        FspNode::depth(self)
+    }
+}
 
 /// Selection strategy, used to construct a pool generically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -22,7 +44,7 @@ pub enum PoolStrategy {
 
 impl PoolStrategy {
     /// Builds an empty pool implementing this strategy.
-    pub fn build(self) -> Box<dyn Pool> {
+    pub fn build<T: PoolItem + 'static>(self) -> Box<dyn Pool<T>> {
         match self {
             PoolStrategy::BestFirst => Box::new(BestFirstPool::new()),
             PoolStrategy::DepthFirst => Box::new(DepthFirstPool::new()),
@@ -32,11 +54,11 @@ impl PoolStrategy {
 }
 
 /// A pool of pending sub-problems.
-pub trait Pool: Send {
+pub trait Pool<T = FspNode>: Send {
     /// Inserts a node.
-    fn push(&mut self, node: FspNode);
+    fn push(&mut self, node: T);
     /// Removes and returns the next node according to the pool's strategy.
-    fn pop(&mut self) -> Option<FspNode>;
+    fn pop(&mut self) -> Option<T>;
     /// Number of pending nodes.
     fn len(&self) -> usize;
     /// `true` when no node is pending.
@@ -45,7 +67,7 @@ pub trait Pool: Send {
     }
     /// Removes up to `max` nodes at once (the pool chunk off-loaded to the
     /// GPU in one iteration).
-    fn pop_many(&mut self, max: usize) -> Vec<FspNode> {
+    fn pop_many(&mut self, max: usize) -> Vec<T> {
         let mut out = Vec::with_capacity(max.min(self.len()));
         while out.len() < max {
             match self.pop() {
@@ -56,35 +78,35 @@ pub trait Pool: Send {
         out
     }
     /// Drains every pending node (used to snapshot the frozen pool).
-    fn drain_all(&mut self) -> Vec<FspNode> {
+    fn drain_all(&mut self) -> Vec<T> {
         self.pop_many(usize::MAX)
     }
 }
 
 /// Best-first pool: a min-heap on the node's lower bound; ties are broken by
 /// preferring deeper nodes (closer to a leaf), then insertion order.
-pub struct BestFirstPool {
-    heap: BinaryHeap<BestFirstEntry>,
+pub struct BestFirstPool<T = FspNode> {
+    heap: BinaryHeap<BestFirstEntry<T>>,
     counter: u64,
 }
 
-struct BestFirstEntry {
-    node: FspNode,
+struct BestFirstEntry<T> {
+    node: T,
     seq: u64,
 }
 
-impl PartialEq for BestFirstEntry {
+impl<T: PoolItem> PartialEq for BestFirstEntry<T> {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == std::cmp::Ordering::Equal
     }
 }
-impl Eq for BestFirstEntry {}
-impl PartialOrd for BestFirstEntry {
+impl<T: PoolItem> Eq for BestFirstEntry<T> {}
+impl<T: PoolItem> PartialOrd for BestFirstEntry<T> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for BestFirstEntry {
+impl<T: PoolItem> Ord for BestFirstEntry<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // BinaryHeap is a max-heap: invert the bound so the smallest bound is
         // popped first; among equal bounds prefer the deeper node; among
@@ -98,7 +120,7 @@ impl Ord for BestFirstEntry {
     }
 }
 
-impl BestFirstPool {
+impl<T: PoolItem> BestFirstPool<T> {
     /// Creates an empty best-first pool.
     pub fn new() -> Self {
         Self {
@@ -113,20 +135,20 @@ impl BestFirstPool {
     }
 }
 
-impl Default for BestFirstPool {
+impl<T: PoolItem> Default for BestFirstPool<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Pool for BestFirstPool {
-    fn push(&mut self, node: FspNode) {
+impl<T: PoolItem> Pool<T> for BestFirstPool<T> {
+    fn push(&mut self, node: T) {
         let seq = self.counter;
         self.counter += 1;
         self.heap.push(BestFirstEntry { node, seq });
     }
 
-    fn pop(&mut self) -> Option<FspNode> {
+    fn pop(&mut self) -> Option<T> {
         self.heap.pop().map(|e| e.node)
     }
 
@@ -136,29 +158,29 @@ impl Pool for BestFirstPool {
 }
 
 /// Depth-first pool: a LIFO stack.
-pub struct DepthFirstPool {
-    stack: Vec<FspNode>,
+pub struct DepthFirstPool<T = FspNode> {
+    stack: Vec<T>,
 }
 
-impl DepthFirstPool {
+impl<T: PoolItem> DepthFirstPool<T> {
     /// Creates an empty depth-first pool.
     pub fn new() -> Self {
         Self { stack: Vec::new() }
     }
 }
 
-impl Default for DepthFirstPool {
+impl<T: PoolItem> Default for DepthFirstPool<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Pool for DepthFirstPool {
-    fn push(&mut self, node: FspNode) {
+impl<T: PoolItem> Pool<T> for DepthFirstPool<T> {
+    fn push(&mut self, node: T) {
         self.stack.push(node);
     }
 
-    fn pop(&mut self) -> Option<FspNode> {
+    fn pop(&mut self) -> Option<T> {
         self.stack.pop()
     }
 
@@ -168,11 +190,11 @@ impl Pool for DepthFirstPool {
 }
 
 /// FIFO pool: nodes are examined in generation order.
-pub struct FifoPool {
-    queue: VecDeque<FspNode>,
+pub struct FifoPool<T = FspNode> {
+    queue: VecDeque<T>,
 }
 
-impl FifoPool {
+impl<T: PoolItem> FifoPool<T> {
     /// Creates an empty FIFO pool.
     pub fn new() -> Self {
         Self {
@@ -181,18 +203,18 @@ impl FifoPool {
     }
 }
 
-impl Default for FifoPool {
+impl<T: PoolItem> Default for FifoPool<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Pool for FifoPool {
-    fn push(&mut self, node: FspNode) {
+impl<T: PoolItem> Pool<T> for FifoPool<T> {
+    fn push(&mut self, node: T) {
         self.queue.push_back(node);
     }
 
-    fn pop(&mut self) -> Option<FspNode> {
+    fn pop(&mut self) -> Option<T> {
         self.queue.pop_front()
     }
 

@@ -3,7 +3,7 @@
 
 use crate::node::FspNode;
 use fsp::bound::{with_thread_scratch, LowerBound};
-use fsp::{Instance, JohnsonLowerBound, OneMachineBound, Time};
+use fsp::{Instance, Job, JohnsonLowerBound, OneMachineBound, Time};
 use std::sync::Arc;
 
 /// A lower bound evaluated directly on a [`FspNode`] (front + scheduled set),
@@ -23,6 +23,20 @@ pub trait NodeBound: Send + Sync {
         out.extend(nodes.iter().map(|node| self.bound_node(node)));
     }
 
+    /// Appends, in order, the bound of each child of `parent` that schedules
+    /// `jobs[i]` next, whose front is the `i`-th run of `parent.front().len()`
+    /// values of `fronts` (as [`FspNode::push_children_fronts`] writes them).
+    /// Each equals [`NodeBound::bound_node`] of that child. The default
+    /// builds every child; the shipped bounds read the fronts in place.
+    fn bound_children(&self, parent: &FspNode, jobs: &[Job], fronts: &[Time], out: &mut Vec<Time>) {
+        let fronts = fronts.chunks_exact(parent.front().len());
+        out.extend(
+            jobs.iter()
+                .zip(fronts)
+                .map(|(&job, front)| self.bound_node(&parent.child_with_front(job, front))),
+        );
+    }
+
     /// Short name used in experiment reports.
     fn bound_name(&self) -> &'static str;
 }
@@ -38,6 +52,23 @@ impl NodeBound for JohnsonLowerBound {
         })
     }
 
+    fn bound_children(&self, parent: &FspNode, jobs: &[Job], fronts: &[Time], out: &mut Vec<Time>) {
+        let children: Vec<(Job, &[Time])> = jobs
+            .iter()
+            .copied()
+            .zip(fronts.chunks_exact(parent.front().len()))
+            .collect();
+        with_thread_scratch(|scratch| {
+            self.bound_batch_with(
+                scratch,
+                &children,
+                |&(_, front)| front,
+                |&(job, _), j| j == job || parent.is_scheduled(j),
+                out,
+            )
+        })
+    }
+
     fn bound_name(&self) -> &'static str {
         "johnson-lb"
     }
@@ -46,6 +77,13 @@ impl NodeBound for JohnsonLowerBound {
 impl NodeBound for OneMachineBound {
     fn bound_node(&self, node: &FspNode) -> Time {
         self.bound_prefix_fn(node.front(), |j| node.is_scheduled(j))
+    }
+
+    fn bound_children(&self, parent: &FspNode, jobs: &[Job], fronts: &[Time], out: &mut Vec<Time>) {
+        let fronts = fronts.chunks_exact(parent.front().len());
+        out.extend(jobs.iter().zip(fronts).map(|(&job, front)| {
+            self.bound_prefix_fn(front, |j| j == job || parent.is_scheduled(j))
+        }));
     }
 
     fn bound_name(&self) -> &'static str {
@@ -59,6 +97,9 @@ impl<B: NodeBound + ?Sized> NodeBound for Arc<B> {
     }
     fn bound_nodes(&self, nodes: &[FspNode], out: &mut Vec<Time>) {
         (**self).bound_nodes(nodes, out)
+    }
+    fn bound_children(&self, parent: &FspNode, jobs: &[Job], fronts: &[Time], out: &mut Vec<Time>) {
+        (**self).bound_children(parent, jobs, fronts, out)
     }
     fn bound_name(&self) -> &'static str {
         (**self).bound_name()
@@ -267,6 +308,56 @@ mod tests {
         assert_batch_matches_single(&johnson, &nodes);
         assert_batch_matches_single(&Arc::new(johnson), &nodes);
         assert_batch_matches_single(&OneMachineBound::new(&inst), &nodes);
+    }
+
+    /// `bound_children` must append exactly `bound_node` of every child,
+    /// for a child list longer than the Johnson kernel's lane count and for
+    /// the children that complete a schedule.
+    fn assert_children_match_single<B: NodeBound>(bound: &B, inst: &Instance, parent: &FspNode) {
+        let jobs: Vec<Job> = parent.unscheduled().collect();
+        let mut fronts = Vec::new();
+        parent.push_children_fronts(inst, &jobs, &mut fronts);
+        let mut out = vec![7];
+        bound.bound_children(parent, &jobs, &fronts, &mut out);
+        let single: Vec<Time> = jobs
+            .iter()
+            .map(|&job| bound.bound_node(&parent.child(inst, job)))
+            .collect();
+        assert_eq!(out[0], 7, "{}: must append", bound.bound_name());
+        assert_eq!(out[1..], single, "{}", bound.bound_name());
+    }
+
+    /// A bound with only the required methods, so it runs the default
+    /// `bound_children`.
+    struct PerNode(OneMachineBound);
+
+    impl NodeBound for PerNode {
+        fn bound_node(&self, node: &FspNode) -> Time {
+            self.0.bound_node(node)
+        }
+        fn bound_name(&self) -> &'static str {
+            "per-node"
+        }
+    }
+
+    #[test]
+    fn bound_children_equals_bound_node_per_child() {
+        let inst = generate("t", 2 * JohnsonLowerBound::LANES + 1, 5, 23);
+        let johnson = JohnsonLowerBound::new(&inst);
+        let one_machine = OneMachineBound::new(&inst);
+        let per_node = PerNode(one_machine.clone());
+        let mut parent = FspNode::root(&inst);
+        for job in [5, 0, 16, 2] {
+            assert_children_match_single(&johnson, &inst, &parent);
+            assert_children_match_single(&Arc::new(johnson.clone()), &inst, &parent);
+            assert_children_match_single(&one_machine, &inst, &parent);
+            assert_children_match_single(&per_node, &inst, &parent);
+            parent = parent.child(&inst, job);
+        }
+        let last = FspNode::from_prefix(&inst, &(1..inst.jobs()).collect::<Vec<_>>());
+        assert_children_match_single(&johnson, &inst, &last);
+        assert_children_match_single(&one_machine, &inst, &last);
+        assert_children_match_single(&per_node, &inst, &last);
     }
 
     #[test]

@@ -7,14 +7,50 @@
 //! (evaluate every child's lower bound). Each operator is timed separately so
 //! the "bounding dominates the wall time" preliminary experiment of the paper
 //! can be reproduced.
+//!
+//! The pool holds `Pending` records, not nodes: a child that is bounded
+//! but not yet selected is its parent (shared by all its siblings) plus the
+//! job it schedules next. Only a selected child is built, so the search
+//! allocates one node per decomposition rather than one per child.
 
 use crate::node::FspNode;
-use crate::pool::PoolStrategy;
+use crate::pool::{PoolItem, PoolStrategy};
 use crate::problem::{FspProblem, NodeBound};
 use crate::stats::{OperatorTimes, SolveStats};
 use crate::upper_bound::SharedUpperBound;
-use fsp::{Job, Time};
+use fsp::{Instance, Job, Time};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// A pending sub-problem: `parent` itself when `job` is `None` (an initial
+/// node), otherwise the child of `parent` that schedules `job` next. Its
+/// bound and depth are kept here so that ordering the pool never reads the
+/// parent.
+struct Pending {
+    parent: Arc<FspNode>,
+    job: Option<u32>,
+    bound: Time,
+    depth: u32,
+}
+
+impl Pending {
+    /// The sub-problem as a node.
+    fn node(self, inst: &Instance) -> Arc<FspNode> {
+        match self.job {
+            None => self.parent,
+            Some(job) => Arc::new(self.parent.child(inst, job as Job)),
+        }
+    }
+}
+
+impl PoolItem for Pending {
+    fn bound(&self) -> Time {
+        self.bound
+    }
+    fn depth(&self) -> usize {
+        self.depth as usize
+    }
+}
 
 /// Why a solve terminated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,14 +176,21 @@ impl<B: NodeBound> SerialSolver<B> {
             None => SharedUpperBound::unbounded(),
         };
 
+        let inst = self.problem.instance();
+        let machines = inst.machines();
         let mut pool = self.config.strategy.build();
         for node in initial_nodes {
-            pool.push(node);
+            pool.push(Pending {
+                bound: node.bound(),
+                depth: node.depth() as u32,
+                parent: Arc::new(node),
+                job: None,
+            });
         }
         stats.max_pool = pool.len();
 
         let mut stop = StopReason::Exhausted;
-        let mut children: Vec<FspNode> = Vec::new();
+        let (mut jobs, mut fronts, mut bounds) = (Vec::new(), Vec::new(), Vec::new());
         loop {
             if let Some(limit) = self.config.node_limit {
                 if stats.bounded >= limit {
@@ -164,9 +207,9 @@ impl<B: NodeBound> SerialSolver<B> {
 
             // Selection.
             let t0 = Instant::now();
-            let node = pool.pop();
+            let pending = pool.pop();
             times.selection += t0.elapsed();
-            let Some(node) = node else {
+            let Some(pending) = pending else {
                 break;
             };
             stats.selected += 1;
@@ -174,17 +217,21 @@ impl<B: NodeBound> SerialSolver<B> {
             // Elimination of the selected node (its bound may have been
             // computed before the incumbent improved).
             let t0 = Instant::now();
-            let prune = ub.prunes(node.bound());
+            let prune = ub.prunes(pending.bound);
             times.elimination += t0.elapsed();
             if prune {
                 stats.pruned += 1;
                 continue;
             }
 
-            // Branching (into the reused buffer).
+            // Branching: build the selected node, then its children's fronts
+            // (one child per unscheduled job, in increasing job order).
             let t0 = Instant::now();
-            children.clear();
-            self.problem.branch_into(&node, &mut children);
+            let node = pending.node(inst);
+            jobs.clear();
+            jobs.extend(node.unscheduled());
+            fronts.clear();
+            node.push_children_fronts(inst, &jobs, &mut fronts);
             times.branching += t0.elapsed();
             stats.decomposed += 1;
 
@@ -192,23 +239,31 @@ impl<B: NodeBound> SerialSolver<B> {
             // generation order. No bound depends on the incumbent, so
             // bounding them together visits the same nodes.
             let t0 = Instant::now();
-            self.problem.bound_all(&mut children);
+            bounds.clear();
+            self.problem
+                .bound_fn()
+                .bound_children(&node, &jobs, &fronts, &mut bounds);
             times.bounding += t0.elapsed();
-            stats.bounded += children.len() as u64;
+            stats.bounded += jobs.len() as u64;
 
             let t0 = Instant::now();
-            for child in children.drain(..) {
-                if self.problem.is_leaf(&child) {
+            let leaves = node.depth() + 1 == inst.jobs();
+            for (i, (&job, &bound)) in jobs.iter().zip(&bounds).enumerate() {
+                if leaves {
                     stats.leaves += 1;
-                    let cost = self.problem.leaf_cost(&child);
-                    if ub.try_improve(cost) {
+                    if ub.try_improve(fronts[(i + 1) * machines - 1]) {
                         stats.improvements += 1;
-                        best_schedule = Some(child.prefix_vec());
+                        best_schedule = Some(node.prefix().chain([job]).collect());
                     }
-                } else if ub.prunes(child.bound()) {
+                } else if ub.prunes(bound) {
                     stats.pruned += 1;
                 } else {
-                    pool.push(child);
+                    pool.push(Pending {
+                        parent: Arc::clone(&node),
+                        job: Some(job as u32),
+                        bound,
+                        depth: node.depth() as u32 + 1,
+                    });
                 }
             }
             times.elimination += t0.elapsed();
@@ -356,6 +411,107 @@ mod tests {
         let solver = SerialSolver::with_defaults(problem);
         let outcome = solver.solve_from(frozen, None, None);
         assert_eq!(outcome.best_makespan, expected);
+    }
+
+    /// The search loop over a pool of materialised nodes, one `FspNode` per
+    /// pending child: the oracle for the visited node set.
+    fn reference_solve(
+        problem: &FspProblem,
+        strategy: PoolStrategy,
+        initial: Vec<FspNode>,
+        (mut ub, mut best): (Time, Vec<Job>),
+    ) -> (SolveStats, Time, Vec<Job>) {
+        let mut stats = SolveStats::default();
+        let mut pool = strategy.build();
+        for node in initial {
+            pool.push(node);
+        }
+        stats.max_pool = pool.len();
+        while let Some(node) = pool.pop() {
+            stats.selected += 1;
+            if node.bound() >= ub {
+                stats.pruned += 1;
+                continue;
+            }
+            let mut children = problem.branch(&node);
+            stats.decomposed += 1;
+            problem.bound_all(&mut children);
+            stats.bounded += children.len() as u64;
+            for child in children {
+                if problem.is_leaf(&child) {
+                    stats.leaves += 1;
+                    if problem.leaf_cost(&child) < ub {
+                        ub = problem.leaf_cost(&child);
+                        best = child.prefix_vec();
+                        stats.improvements += 1;
+                    }
+                } else if child.bound() >= ub {
+                    stats.pruned += 1;
+                } else {
+                    pool.push(child);
+                }
+            }
+            stats.max_pool = stats.max_pool.max(pool.len());
+        }
+        (stats, ub, best)
+    }
+
+    #[test]
+    fn visits_the_node_set_of_a_pool_of_nodes() {
+        // Processing times of 1–3 make equal bounds, and so depth and
+        // insertion-order tie-breaks, common.
+        let ties = |n: usize, m: usize| {
+            let times = (0..n * m).map(|i| (i * i % 7 % 3 + 1) as Time).collect();
+            fsp::Instance::new("ties", n, m, times)
+        };
+        let instances = [
+            generate("t", 8, 5, 3),
+            generate("t", 9, 4, 17),
+            generate("t", 10, 6, 29),
+            ties(9, 3),
+            ties(10, 4),
+        ];
+        for inst in instances {
+            let (n, m, seed) = (inst.jobs(), inst.machines(), inst.name().to_string());
+            let problem = FspProblem::new(inst);
+            let mut root = problem.root();
+            problem.bound(&mut root);
+            let neh = problem.initial_upper_bound();
+            // A frozen list mixes depths, so the depth tie-break matters.
+            let frozen = crate::protocol::frozen_pool(&problem, 64);
+            let frozen_ub = (frozen.upper_bound, frozen.best_schedule.clone().unwrap());
+            for strategy in [
+                PoolStrategy::BestFirst,
+                PoolStrategy::DepthFirst,
+                PoolStrategy::Fifo,
+            ] {
+                let solver = SerialSolver::new(
+                    problem.clone(),
+                    SolverConfig {
+                        strategy,
+                        ..Default::default()
+                    },
+                );
+                for (outcome, initial, incumbent) in [
+                    (solver.solve(), vec![root.clone()], (neh.1, neh.0.clone())),
+                    (
+                        solver.solve_from(
+                            frozen.nodes.clone(),
+                            Some(frozen_ub.0),
+                            Some(frozen_ub.1.clone()),
+                        ),
+                        frozen.nodes.clone(),
+                        frozen_ub.clone(),
+                    ),
+                ] {
+                    let (stats, ub, best) = reference_solve(&problem, strategy, initial, incumbent);
+                    let case = format!("{n}x{m} seed {seed}, {strategy:?}");
+                    assert_eq!(outcome.stats, stats, "{case}");
+                    assert_eq!(outcome.best_makespan, ub, "{case}");
+                    assert_eq!(outcome.best_schedule, Some(best), "{case}");
+                }
+            }
+        }
     }
 
     #[test]

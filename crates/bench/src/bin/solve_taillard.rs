@@ -1196,13 +1196,21 @@ fn row_for<'a, R: std::ops::Deref<Target = RowKey>>(
 
 /// Parses a report or baseline written by this binary and reads each row
 /// object — the `rows` array, or a single-run `…/v1` report's top-level
-/// object — with `read`, naming the row in any error.
+/// object — with `read`, naming the row in any error. With `schema`, the
+/// document's `schema` field must be exactly that.
 fn read_rows<T>(
     text: &str,
+    schema: Option<&str>,
     read: impl Fn(&[(String, Json)]) -> Result<T, String>,
 ) -> Result<Vec<T>, String> {
     let doc = Json::parse(text)?;
     let top = doc.as_object("report")?;
+    if let Some(schema) = schema {
+        let found = json::get(top, "schema")?.as_str("schema")?;
+        if found != schema {
+            return Err(format!("schema {found:?} is not {schema:?}"));
+        }
+    }
     let rows = match json::get_opt(top, "rows") {
         Some(rows) => rows
             .as_array("rows")?
@@ -1222,7 +1230,7 @@ fn read_rows<T>(
 
 /// The wall-clock gate's rows of a perf report.
 fn baseline_rows(text: &str) -> Result<Vec<BaselineRow>, String> {
-    read_rows(text, |row| {
+    read_rows(text, None, |row| {
         Ok(BaselineRow {
             key: RowKey::from_json(row)?,
             nodes_per_sec: json::get(row, "nodes_per_sec")?.as_f64("nodes_per_sec")?,
@@ -1230,14 +1238,20 @@ fn baseline_rows(text: &str) -> Result<Vec<BaselineRow>, String> {
     })
 }
 
-/// The cost gate's rows of a cost baseline: every row's `cost` object must
-/// carry each of the [`COST_COUNTERS`] counters exactly once.
+/// The `schema` of a cost baseline, which no perf report carries.
+const COST_BASELINE_SCHEMA: &str = "flowshop-bnb-cost-baseline/v1";
+
+/// The cost gate's rows of a cost baseline: the document must be a cost
+/// baseline, and every row's `cost` object must carry each of the
+/// [`COST_COUNTERS`] counters exactly once.
 fn cost_rows(text: &str) -> Result<Vec<CostRow>, String> {
-    read_rows(text, |row| {
-        Ok(CostRow {
-            key: RowKey::from_json(row)?,
-            cost: CostReport::from_json(json::get(row, "cost")?)?,
-        })
+    read_rows(text, Some(COST_BASELINE_SCHEMA), cost_row)
+}
+
+fn cost_row(row: &[(String, Json)]) -> Result<CostRow, String> {
+    Ok(CostRow {
+        key: RowKey::from_json(row)?,
+        cost: CostReport::from_json(json::get(row, "cost")?)?,
     })
 }
 
@@ -1280,7 +1294,7 @@ fn read_inputs(opts: &Options, inst: &fsp::Instance) -> Result<Inputs, String> {
 fn cost_baseline_json(reports: &[Report]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"flowshop-bnb-cost-baseline/v1\",");
+    let _ = writeln!(out, "  \"schema\": \"{COST_BASELINE_SCHEMA}\",");
     let _ = writeln!(out, "  \"rows\": [");
     for (i, report) in reports.iter().enumerate() {
         let sep = if i + 1 < reports.len() { "," } else { "" };
@@ -1344,6 +1358,11 @@ fn main() -> ExitCode {
 
     let jobs = inst.jobs();
     let machines = inst.machines();
+    // The header goes to stderr: stdout carries only the JSON report.
+    eprintln!(
+        "solve_taillard: {label} ({jobs} jobs x {machines} machines), host bound kernel: {}",
+        fsp::JohnsonLowerBound::kernel_path()
+    );
     let (resume, cost_baseline, baseline) = match read_inputs(&opts, &inst) {
         Ok(inputs) => inputs,
         Err(msg) => {
@@ -1750,7 +1769,7 @@ mod tests {
             .map(|(name, value)| format!("\"{name}\": {value}"))
             .collect();
         format!(
-            "{{\"rows\": [{{\"backend\": \"gpu\", \"devices\": 1, \"cost\": {{{}}}}}]}}",
+            "{{\"schema\": \"{COST_BASELINE_SCHEMA}\", \"rows\": [{{\"backend\": \"gpu\", \"devices\": 1, \"cost\": {{{}}}}}]}}",
             body.join(", ")
         )
     }
@@ -1818,12 +1837,19 @@ mod tests {
     #[test]
     fn written_reports_read_back_under_their_keys() {
         let (single, rows) = ([report(None)], [report(None), report(Some(3))]);
-        for (text, written) in [
-            (reports_to_json(&single, None, None), &single[..]),
-            (reports_to_json(&rows, Some(4), None), &rows[..]),
-            (cost_baseline_json(&rows), &rows[..]),
+        for (text, schema, written) in [
+            (reports_to_json(&single, None, None), None, &single[..]),
+            (reports_to_json(&rows, Some(4), None), None, &rows[..]),
+            (
+                cost_baseline_json(&rows),
+                Some(COST_BASELINE_SCHEMA),
+                &rows[..],
+            ),
         ] {
-            let costs = cost_rows(&text).expect("cost rows read back");
+            // A perf report's rows carry the same cost object, but the cost
+            // gate reads only a cost baseline.
+            assert_eq!(cost_rows(&text).is_ok(), schema.is_some());
+            let costs = read_rows(&text, schema, cost_row).expect("cost rows read back");
             assert_eq!(costs.len(), written.len());
             for (row, report) in costs.iter().zip(written) {
                 assert_eq!((&row.key, row.cost), (&report.key(), report.metrics.cost));
@@ -1840,10 +1866,18 @@ mod tests {
     #[test]
     fn rows_without_a_backend_or_device_count_are_rejected() {
         let cost = CostReport::default().to_json("");
+        let doc =
+            |rows: &str| format!("{{\"schema\": \"{COST_BASELINE_SCHEMA}\", \"rows\": [{rows}]}}");
+        let good = doc(&format!(
+            "{{\"backend\": \"gpu\", \"devices\": 1, \"cost\": {cost}}}"
+        ));
+        assert_eq!(cost_rows(&good).expect("a whole row reads").len(), 1);
         for text in [
-            format!("{{\"rows\": [{{\"devices\": 1, \"cost\": {cost}}}]}}"),
-            format!("{{\"rows\": [{{\"backend\": \"gpu\", \"cost\": {cost}}}]}}"),
-            "{\"rows\": []}".to_string(),
+            doc(&format!("{{\"devices\": 1, \"cost\": {cost}}}")),
+            doc(&format!("{{\"backend\": \"gpu\", \"cost\": {cost}}}")),
+            doc(""),
+            good.replacen(COST_BASELINE_SCHEMA, "flowshop-bnb-perf-report/v9", 1),
+            good.replacen(&format!("\"schema\": \"{COST_BASELINE_SCHEMA}\", "), "", 1),
         ] {
             assert!(cost_rows(&text).is_err(), "{text}");
         }
@@ -1857,8 +1891,10 @@ mod tests {
         let wall = include_str!("../../../../BENCH_baseline.json");
         assert_eq!(cost_rows(cost).expect("cost baseline").len(), 13);
         assert_eq!(baseline_rows(wall).expect("wall-clock baseline").len(), 5);
-        // The wall-clock baseline is a v8 report: 19 counters per row.
+        // The wall-clock baseline is a perf report, not a cost baseline,
+        // although its rows carry every cost counter.
         assert!(cost_rows(wall).is_err());
+        assert_eq!(read_rows(wall, None, cost_row).expect("v9 rows").len(), 5);
         // Every prefix cut before the final `}`.
         let cuts = |text: &str| 0..text.trim_end().len() - 1;
         for cut in cuts(cost) {

@@ -37,16 +37,18 @@
 //! reads it through the workspace's one JSON reader ([`crate::json`]) and
 //! rejects malformed documents, cost objects and job lists;
 //! [`SolveCheckpoint::check`] then verifies it against the instance (shape,
-//! the incumbent's recomputed makespan, `proven_bound ≤ upper_bound`)
-//! before a resume trusts it.
+//! the incumbent's recomputed makespan, `proven_bound ≤ upper_bound`, no
+//! frontier bound above its prefix's Johnson bound) before a resume trusts
+//! it.
 
 use crate::config::GpuSolverConfig;
 use crate::cost::CostReport;
 use crate::fleet::{plan_shards_weighted, steal_pass, FleetShard, MemberModel};
 use crate::json::{get, Json};
+use bb::problem::NodeBound;
 use bb::FspNode;
 use fsp::schedule::{is_permutation, makespan};
-use fsp::{Instance, Job, Time};
+use fsp::{Instance, Job, JohnsonLowerBound, Time};
 
 /// Schema tag of the checkpoint JSON document.
 pub const CHECKPOINT_SCHEMA_VERSION: &str = "flowshop-bnb-checkpoint/v1";
@@ -378,8 +380,15 @@ impl SolveCheckpoint {
     /// the shape matches, the incumbent's recomputed makespan equals
     /// `upper_bound` (an incumbent without a schedule cannot be checked, so
     /// `upper_bound` must then be [`Time::MAX`]), and `proven_bound ≤
-    /// upper_bound`. Run it before resuming a checkpoint read from a file;
-    /// the frontier's stored bounds are still trusted.
+    /// upper_bound`, and no frontier node's stored bound exceeds the Johnson
+    /// bound of its prefix (a higher one would let the resumed solve prune
+    /// what it never proved). Run it before resuming a checkpoint read from
+    /// a file.
+    ///
+    /// It cannot tell whether the frontier is complete, and trusts that it
+    /// is: a file with frontier nodes removed, or with none at all, passes,
+    /// and resuming it certifies the incumbent without searching the
+    /// missing subtrees.
     pub fn check(&self, inst: &Instance) -> Result<(), String> {
         if (self.jobs, self.machines) != (inst.jobs(), inst.machines()) {
             return Err(format!(
@@ -407,6 +416,16 @@ impl SolveCheckpoint {
             return Err(format!(
                 "proven_bound {} exceeds upper_bound {}",
                 self.proven_bound, self.upper_bound
+            ));
+        }
+        let nodes = self.to_nodes(inst);
+        let mut bounds = Vec::with_capacity(nodes.len());
+        JohnsonLowerBound::new(inst).bound_nodes(&nodes, &mut bounds);
+        if let Some((node, bound)) = nodes.iter().zip(bounds).find(|(n, b)| n.bound() > *b) {
+            return Err(format!(
+                "frontier node {:?} claims bound {}, above its Johnson bound {bound}",
+                node.prefix_vec(),
+                node.bound()
             ));
         }
         Ok(())
@@ -684,12 +703,20 @@ mod tests {
         assert!(!doubled.contains("\"waves\"") && SolveCheckpoint::from_json(&doubled).is_err());
         // Claims the instance refutes parse, and fail `check`.
         assert_eq!(checkpoint.check(&inst), Ok(()));
-        let edits: [&dyn Fn(&mut SolveCheckpoint); 5] = [
+        let edits: [&dyn Fn(&mut SolveCheckpoint); 7] = [
             &|c| c.upper_bound = 5,
             &|c| c.best_schedule = None,
             &|c| c.best_schedule = Some(vec![0; 9]),
             &|c| c.proven_bound = c.upper_bound + 1,
             &|c| c.machines += 1,
+            // Bounds raised to the incumbent would prune the whole frontier
+            // and certify the incumbent as optimal.
+            &|c| {
+                for node in &mut c.frontier {
+                    node.1 = c.upper_bound;
+                }
+            },
+            &|c| c.frontier.last_mut().unwrap().1 += 1,
         ];
         for edit in edits {
             assert!(forged(edit).check(&inst).is_err());

@@ -351,7 +351,7 @@ impl BoundingEngine {
         for (i, node) in nodes.iter().enumerate() {
             let base = i * self.node_stride;
             flat[base] = node.depth() as u32;
-            for (p, &job) in node.prefix_raw().iter().enumerate() {
+            for (p, job) in node.prefix().enumerate() {
                 flat[base + 1 + p] = job as u32;
             }
         }

@@ -19,11 +19,17 @@
 //! lanes: it bounds up to `L` nodes of the instance together, one node per
 //! lane, and every lane walks the same Johnson order, lags and processing
 //! times, so those are loaded once per step and shared. The lanes are plain
-//! `[Time; L]` arrays that the compiler vectorises for the default target;
-//! there is no `unsafe`, no target feature and no runtime dispatch. A lane
-//! masks its node's scheduled jobs instead of skipping them, so the loop over
-//! each pair's Johnson order has no data-dependent branch, and it reads the
-//! pair-major host tables of `BoundData::johnson_pair` with unit stride.
+//! `[Time; L]` arrays that the compiler vectorises. A lane masks its node's
+//! scheduled jobs instead of skipping them, so the loop over each pair's
+//! Johnson order has no data-dependent branch, and it reads the pair-major
+//! host tables of `BoundData::johnson_pair` with unit stride.
+//!
+//! The one kernel body is compiled twice: once for the default target, and
+//! once, on x86-64, inside a `#[target_feature(enable = "avx2")]` wrapper,
+//! whose packed 32-bit `max` the default target (SSE2) lacks.
+//! `std::is_x86_feature_detected!("avx2")` picks the AVX2 build on CPUs that
+//! have it; every other CPU runs the portable one. Both return the same
+//! bounds; [`JohnsonLowerBound::kernel_path`] names the one this CPU runs.
 //! [`JohnsonLowerBound::bound_batch_with`] bounds a slice of nodes
 //! [`JohnsonLowerBound::LANES`] at a time; the single-node entry points run
 //! the same kernel with one lane.
@@ -42,8 +48,9 @@ pub struct JohnsonLowerBound {
 
 impl JohnsonLowerBound {
     /// Nodes [`Self::bound_batch_with`] bounds together, one per lane of the
-    /// kernel: eight `u32` lanes fill two SSE2 registers.
-    pub const LANES: usize = 8;
+    /// kernel, on either build of it: sixteen `u32` lanes fill two AVX2
+    /// registers or four SSE2 ones.
+    pub const LANES: usize = 16;
 
     /// Pre-computes the six bound matrices for `inst`.
     pub fn new(inst: &crate::instance::Instance) -> Self {
@@ -60,6 +67,15 @@ impl JohnsonLowerBound {
     /// The pre-computed matrices (shared with the GPU off-load engine).
     pub fn data(&self) -> &BoundData {
         &self.data
+    }
+
+    /// The build of the kernel this CPU runs: `"avx2"` or `"portable"`.
+    pub fn kernel_path() -> &'static str {
+        if has_avx2() {
+            "avx2"
+        } else {
+            "portable"
+        }
     }
 
     /// Computes the lower bound for a sub-problem described by its scheduled
@@ -101,7 +117,7 @@ impl JohnsonLowerBound {
         front: &[Time],
         is_scheduled: impl Fn(Job) -> bool,
     ) -> Time {
-        let [lb] = self.bound_block::<1>(scratch, [front], |_, job| is_scheduled(job));
+        let [lb] = self.run_block::<1>(false, scratch, [front], |_, job| is_scheduled(job));
         lb
     }
 
@@ -121,13 +137,39 @@ impl JohnsonLowerBound {
         is_scheduled: impl Fn(&T, Job) -> bool,
         out: &mut Vec<Time>,
     ) {
+        self.batch_with(false, scratch, items, front, is_scheduled, out);
+    }
+
+    /// [`Self::bound_batch_with`] on the portable build of the kernel, even
+    /// on a CPU with AVX2, so that tests cover both builds on one machine.
+    #[doc(hidden)]
+    pub fn bound_batch_portable_with<T>(
+        &self,
+        scratch: &mut BoundScratch,
+        items: &[T],
+        front: impl Fn(&T) -> &[Time],
+        is_scheduled: impl Fn(&T, Job) -> bool,
+        out: &mut Vec<Time>,
+    ) {
+        self.batch_with(true, scratch, items, front, is_scheduled, out);
+    }
+
+    fn batch_with<T>(
+        &self,
+        portable: bool,
+        scratch: &mut BoundScratch,
+        items: &[T],
+        front: impl Fn(&T) -> &[Time],
+        is_scheduled: impl Fn(&T, Job) -> bool,
+        out: &mut Vec<Time>,
+    ) {
         out.reserve(items.len());
         for block in items.chunks(Self::LANES) {
             // A short last block repeats its last item; the bounds of the
             // padded lanes are dropped.
             let lanes: [&T; Self::LANES] =
                 std::array::from_fn(|lane| &block[lane.min(block.len() - 1)]);
-            let bounds = self.bound_block(scratch, lanes.map(&front), |lane, job| {
+            let bounds = self.run_block(portable, scratch, lanes.map(&front), |lane, job| {
                 is_scheduled(lanes[lane], job)
             });
             out.extend_from_slice(&bounds[..block.len()]);
@@ -219,10 +261,47 @@ impl JohnsonLowerBound {
         (lb, counts)
     }
 
+    /// Runs [`Self::bound_block`] on its AVX2 build when this CPU has AVX2
+    /// and `portable` is false, and on its portable build otherwise.
+    fn run_block<const L: usize>(
+        &self,
+        portable: bool,
+        scratch: &mut BoundScratch,
+        fronts: [&[Time]; L],
+        is_scheduled: impl Fn(usize, Job) -> bool,
+    ) -> [Time; L] {
+        if !portable && has_avx2() {
+            // SAFETY: `has_avx2()` is `is_x86_feature_detected!("avx2")`, so
+            // this CPU executes the AVX2 instructions of `bound_block_avx2`.
+            #[cfg(target_arch = "x86_64")]
+            return unsafe { self.bound_block_avx2(scratch, fronts, is_scheduled) };
+        }
+        self.bound_block(scratch, fronts, is_scheduled)
+    }
+
+    /// [`Self::bound_block`] inlined into, and so compiled for, AVX2.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn bound_block_avx2<const L: usize>(
+        &self,
+        scratch: &mut BoundScratch,
+        fronts: [&[Time]; L],
+        is_scheduled: impl Fn(usize, Job) -> bool,
+    ) -> [Time; L] {
+        self.bound_block(scratch, fronts, is_scheduled)
+    }
+
     /// The kernel: bounds `L` nodes, one per lane, given each lane's front
     /// and a `(lane, job)` scheduled-set predicate. Every lane returns the
     /// value of [`Self::bound_prefix_counted`] for its node, but masks the
-    /// scheduled jobs instead of skipping them.
+    /// scheduled jobs instead of skipping them. Always inlined, so that each
+    /// caller compiles it, and the closures it calls, for its own target
+    /// features.
+    #[inline(always)]
     fn bound_block<const L: usize>(
         &self,
         scratch: &mut BoundScratch,
@@ -318,6 +397,15 @@ impl JohnsonLowerBound {
         let sched = PartialSchedule::from_prefix(inst, prefix);
         self.bound(&sched)
     }
+}
+
+/// Whether this CPU runs the AVX2 build of the kernel; `std` caches the
+/// detection after the first call.
+fn has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
 }
 
 impl LowerBound for JohnsonLowerBound {

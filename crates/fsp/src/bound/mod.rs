@@ -26,7 +26,7 @@ use std::cell::RefCell;
 /// and the Johnson bound a per-job keep mask. The Johnson bound evaluates up
 /// to [`JohnsonLowerBound::LANES`](johnson_lb::JohnsonLowerBound::LANES)
 /// nodes at once, one per lane, so its buffers hold one value per lane: the
-/// keep mask `n × lanes` (6.4 KB at 200×20 with eight lanes), the front and
+/// keep mask `n × lanes` (12.8 KB at 200×20 with sixteen lanes), the front and
 /// the head/tail minima `m × lanes`.
 /// Allocating them per call dominates the cost of bounding small batches, so
 /// callers that bound many sub-problems — the off-load engine's fast-forward

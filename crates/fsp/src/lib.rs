@@ -24,6 +24,7 @@
 //! * [`brute`] — exhaustive enumeration for tiny instances (test oracle).
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod brute;
 pub mod instance;

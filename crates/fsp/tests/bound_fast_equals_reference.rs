@@ -9,7 +9,9 @@
 //! `JohnsonLowerBound::LANES` at a time, one per lane, and must match the
 //! reference node for node: for batch lengths around the lane count (a
 //! short last block is padded), for blocks that mix complete prefixes with
-//! live ones, and on arbitrary fronts.
+//! live ones, and on arbitrary fronts. Every batch is bounded twice: by the
+//! kernel build this CPU dispatches to (AVX2 where the CPU has it) and by
+//! the portable build, through `bound_batch_portable_with`.
 
 use fsp::bound::LowerBound;
 use fsp::taillard::generate;
@@ -187,38 +189,63 @@ impl Sub {
         let front = PartialSchedule::from_prefix(inst, prefix).front().to_vec();
         Self { front, scheduled }
     }
+
+    fn front(&self) -> &[Time] {
+        &self.front
+    }
+
+    fn is_scheduled(&self, job: usize) -> bool {
+        self.scheduled[job]
+    }
 }
 
-/// Bounds `subs` through the batch entry point, appending to a non-empty
-/// buffer, and checks every bound against the reference.
+/// Bounds `subs` through both batch entry points, each appending to a
+/// non-empty buffer, and checks every bound against the reference.
 fn check_batch(lb: &JohnsonLowerBound, scratch: &mut BoundScratch, subs: &[Sub]) {
-    let sentinel = Time::MAX - 7;
-    let mut out = vec![sentinel];
-    lb.bound_batch_with(
-        scratch,
-        subs,
-        |sub: &Sub| sub.front.as_slice(),
-        |sub: &Sub, job| sub.scheduled[job],
-        &mut out,
-    );
     let reference: Vec<Time> = subs
         .iter()
         .map(|sub| lb.bound_prefix_counted(&sub.front, &sub.scheduled).0)
         .collect();
-    assert_eq!(out[0], sentinel, "the batch must append, not overwrite");
-    assert_eq!(
-        out[1..],
-        reference[..],
-        "batch of {} != reference",
-        subs.len()
+    let sentinel = Time::MAX - 7;
+    let (mut dispatched, mut portable) = (vec![sentinel], vec![sentinel]);
+    lb.bound_batch_with(
+        scratch,
+        subs,
+        Sub::front,
+        Sub::is_scheduled,
+        &mut dispatched,
     );
+    lb.bound_batch_portable_with(scratch, subs, Sub::front, Sub::is_scheduled, &mut portable);
+    for (out, path) in [
+        (dispatched, JohnsonLowerBound::kernel_path()),
+        (portable, "portable"),
+    ] {
+        assert_eq!(
+            out[0], sentinel,
+            "the {path} batch must append, not overwrite"
+        );
+        assert_eq!(
+            out[1..],
+            reference[..],
+            "{path} batch of {} != reference",
+            subs.len()
+        );
+    }
 }
 
 /// The batch lengths around the lane count: empty, one, a short block, a
-/// full block, a full block plus one, two full blocks plus one.
-fn batch_lengths() -> [usize; 6] {
+/// full block, a full block plus one, two full blocks minus and plus one.
+fn batch_lengths() -> [usize; 7] {
     let lanes = JohnsonLowerBound::LANES;
-    [0, 1, lanes - 1, lanes, lanes + 1, 2 * lanes + 1]
+    [
+        0,
+        1,
+        lanes - 1,
+        lanes,
+        lanes + 1,
+        2 * lanes - 1,
+        2 * lanes + 1,
+    ]
 }
 
 /// `len` random sub-problems of `inst`: empty, complete and partial
